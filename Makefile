@@ -7,7 +7,7 @@ GO ?= go
 FUZZTIME ?= 10s
 FUZZ_TARGETS = FuzzEdgeList FuzzAdjList FuzzJSON FuzzHTCGraph FuzzSniff FuzzTruth
 
-.PHONY: build test test-ann test-refine lint bench bench-snapshot bench-io bench-gate fuzz ci
+.PHONY: build test test-ann test-refine test-bench lint bench bench-snapshot bench-pipeline bench-io bench-gate fuzz ci
 
 build:
 	$(GO) build ./...
@@ -28,6 +28,14 @@ test-ann:
 # get the same targeted gate the ANN index has.
 test-refine:
 	$(GO) test -race -count=1 ./internal/refine/...
+
+# The benchmark program under bench/ is its own module (so root `./...`
+# patterns skip it), yet it compiles against internal/server and
+# internal/core; vet and race-test it explicitly so an API change there
+# cannot silently break the benchmark.
+test-bench:
+	$(GO) -C bench vet ./...
+	$(GO) -C bench test -race ./...
 
 # Static analysis at full strength: gofmt, the whole stock vet suite
 # plus an explicit, addressable copylocks pass, a tidy-module check, and
@@ -84,4 +92,4 @@ fuzz:
 		$(GO) test ./internal/ingest/ -run='^$$' -fuzz="^$$t$$" -fuzztime=$(FUZZTIME) || exit 1; \
 	done
 
-ci: lint build test test-ann test-refine fuzz bench bench-gate
+ci: lint build test test-ann test-refine test-bench fuzz bench bench-gate

@@ -90,9 +90,10 @@ func ExamplePrepared() {
 	if err != nil {
 		panic(err)
 	}
-	identical := len(staged.M.Data) == len(oneShot.M.Data)
-	for i := range staged.M.Data {
-		identical = identical && staged.M.Data[i] == oneShot.M.Data[i]
+	stagedScores, oneShotScores := staged.Sim.Dense().Data, oneShot.Sim.Dense().Data
+	identical := len(stagedScores) == len(oneShotScores)
+	for i := range stagedScores {
+		identical = identical && stagedScores[i] == oneShotScores[i]
 	}
 	stats := p.Stats()
 	fmt.Println("stages observed:", stages)
@@ -141,7 +142,7 @@ func ExampleAlign_topK() {
 	for i := 0; i < 6; i++ {
 		for j := 0; j < 6; j++ {
 			got, ok := topkRes.Sim.At(i, j)
-			identical = identical && ok && got == denseRes.M.At(i, j)
+			identical = identical && ok && got == denseRes.Sim.Dense().At(i, j)
 		}
 	}
 	correct := 0
@@ -151,12 +152,13 @@ func ExampleAlign_topK() {
 		}
 	}
 	fmt.Println("backend:", topkRes.SimBackend)
-	fmt.Println("dense matrix materialised:", topkRes.M != nil)
+	_, candidates := topkRes.Sim.(*htc.TopKSim)
+	fmt.Println("scores held as a candidate list:", candidates)
 	fmt.Println("scores identical to dense at k = n:", identical)
 	fmt.Printf("recovered %d/6 hidden anchors\n", correct)
 	// Output:
 	// backend: topk
-	// dense matrix materialised: false
+	// scores held as a candidate list: true
 	// scores identical to dense at k = n: true
 	// recovered 6/6 hidden anchors
 }

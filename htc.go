@@ -395,12 +395,9 @@ func (h HTC) Align(gs, gt *Graph, seeds []Anchor) (*Matrix, error) {
 	if err != nil {
 		return nil, err
 	}
-	if res.M != nil {
-		return res.M, nil
-	}
-	// A top-k run never builds the dense matrix; the Aligner interface
-	// demands one, so materialise it (baseline comparisons run at sizes
-	// where that is affordable).
+	// A dense run hands back its matrix itself; a top-k run never builds
+	// one, and the Aligner interface demands one, so Dense materialises it
+	// (baseline comparisons run at sizes where that is affordable).
 	return res.Sim.Dense(), nil
 }
 

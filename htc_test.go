@@ -22,7 +22,7 @@ func TestPublicAlignEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep := htc.Evaluate(res.M, truth, 1, 10)
+	rep := htc.Evaluate(res.Sim.Dense(), truth, 1, 10)
 	t.Logf("public API: %v", rep)
 	if rep.PrecisionAt[1] < 0.3 {
 		t.Fatalf("p@1 = %v, want ≥ 0.3 on light noise", rep.PrecisionAt[1])

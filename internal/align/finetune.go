@@ -91,9 +91,6 @@ type FineTuneResult struct {
 	// backend, a *TopKSim on the top-k backend. Nil only when the loop
 	// was cancelled before completing a single iteration.
 	Sim Sim
-	// M is the dense alignment matrix of the best iteration; nil on the
-	// top-k backend, whose whole point is never materialising it.
-	M *dense.Matrix
 	// Trusted is that maximal trusted-pair count Tmax.
 	Trusted int
 	// Iters is the number of loop iterations executed.
@@ -215,11 +212,12 @@ func FineTune(enc *nn.Encoder, lapS, lapT *sparse.CSR, xs, xt *dense.Matrix, cfg
 			m := sim.lisiInto(sim.corrInto(hs, ht, w), cfg.M, w)
 			return DenseSim{M: m}, TrustedPairs(m)
 		}
+		var best *dense.Matrix
 		keep = func(s Sim) {
 			m := s.(DenseSim).M
-			res.M = dense.Ensure(res.M, m.Rows, m.Cols)
-			res.M.CopyFrom(m)
-			res.Sim = DenseSim{M: res.M}
+			best = dense.Ensure(best, m.Rows, m.Cols)
+			best.CopyFrom(m)
+			res.Sim = DenseSim{M: best}
 		}
 	}
 

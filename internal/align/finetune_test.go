@@ -40,15 +40,15 @@ func TestFineTuneRecoversIsomorphicAlignment(t *testing.T) {
 	enc, src, tgt := trainEncoder(gs, gt, 3, 43)
 
 	res := FineTune(enc, src.Laps[0], tgt.Laps[0], src.X, tgt.X, FineTuneConfig{M: 5, Beta: 1.1})
-	if res.M == nil {
-		t.Fatal("no alignment matrix produced")
+	if res.Sim == nil {
+		t.Fatal("no alignment produced")
 	}
-	if res.M.Rows != 30 || res.M.Cols != 30 {
-		t.Fatalf("alignment shape %dx%d", res.M.Rows, res.M.Cols)
+	if rows, cols := res.Sim.Dims(); rows != 30 || cols != 30 {
+		t.Fatalf("alignment shape %dx%d", rows, cols)
 	}
 	// On a perfectly consistent pair the argmax prediction must be
 	// essentially the ground-truth permutation.
-	pred := res.M.ArgmaxRows()
+	pred := res.Sim.Predict()
 	correct := 0
 	for i, j := range pred {
 		if j == perm[i] {
@@ -129,7 +129,7 @@ func TestFineTuneRectangular(t *testing.T) {
 
 	enc, src, tgt := trainEncoder(gs, gt, 2, 14)
 	res := FineTune(enc, src.Laps[0], tgt.Laps[0], src.X, tgt.X, FineTuneConfig{M: 4, Beta: 1.1})
-	if res.M.Rows != 26 || res.M.Cols != keep {
-		t.Fatalf("rectangular alignment shape %dx%d", res.M.Rows, res.M.Cols)
+	if rows, cols := res.Sim.Dims(); rows != 26 || cols != keep {
+		t.Fatalf("rectangular alignment shape %dx%d", rows, cols)
 	}
 }

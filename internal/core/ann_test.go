@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"github.com/htc-align/htc/internal/align"
 	"github.com/htc-align/htc/internal/ann"
 	"github.com/htc-align/htc/internal/metrics"
 )
@@ -44,8 +45,8 @@ func TestAlignANNExactEquivalence(t *testing.T) {
 	if topkRes.AnnBits != 0 || topkRes.AnnProbes != 0 {
 		t.Fatalf("topk run reports ann params %d/%d", topkRes.AnnBits, topkRes.AnnProbes)
 	}
-	if annRes.M != nil {
-		t.Fatal("ann run must not materialise the dense alignment matrix")
+	if _, ok := annRes.Sim.(*align.TopKSim); !ok {
+		t.Fatal("ann run must hold its scores as a candidate list, not a dense matrix")
 	}
 
 	if !reflect.DeepEqual(topkRes.PerOrbit, annRes.PerOrbit) {

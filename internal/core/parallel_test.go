@@ -26,7 +26,7 @@ func TestAlignWorkersEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%v workers=%d: %v", v, w, err)
 			}
-			if !parallel.M.Equal(serial.M, 0) {
+			if !parallel.Sim.Dense().Equal(serial.Sim.Dense(), 0) {
 				t.Fatalf("%v workers=%d: alignment matrix diverged from serial run", v, w)
 			}
 			if len(parallel.PerOrbit) != len(serial.PerOrbit) {

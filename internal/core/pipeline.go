@@ -66,14 +66,10 @@ type OrbitOutcome struct {
 
 // Result is the output of one pipeline run.
 type Result struct {
-	// M is the final ns×nt alignment matrix (higher scores mean more
-	// likely anchors). It is populated only by the dense similarity
-	// backend; under the top-k backend the scores live in Sim — never
-	// materialising this matrix is that backend's whole point.
-	M *dense.Matrix
-	// Sim is the final alignment representation, whatever the backend:
-	// a dense matrix wrapper or a per-node candidate list. All score
-	// consumers (Predict, matching, evaluation) go through it.
+	// Sim is the final ns×nt alignment (higher scores mean more likely
+	// anchors), whatever the backend: a dense matrix wrapper or a per-node
+	// candidate list. All score consumers (Predict, matching, evaluation)
+	// go through it; on the dense backend Sim.Dense() is the matrix itself.
 	Sim align.Sim
 	// SimBackend names the similarity backend the run resolved to
 	// ("dense", "topk" or "ann") — SimAuto configs report their concrete
@@ -184,12 +180,7 @@ func annStatsFrom(s ann.Stats) *AnnStats {
 // alignment score (−1 for nodes without candidates under the top-k
 // backend). Different source nodes may map to the same target; use
 // MatchOneToOne for an injective assignment.
-func (r *Result) Predict() []int {
-	if r.Sim != nil {
-		return r.Sim.Predict()
-	}
-	return r.M.ArgmaxRows()
-}
+func (r *Result) Predict() []int { return r.Sim.Predict() }
 
 // NodeNamer maps contiguous node indices back to the external IDs a real
 // dataset keys its nodes by; *ingest.NodeMap is the canonical
@@ -222,13 +213,10 @@ func (r *Result) PredictNames(src, tgt NodeNamer) [][2]string {
 // stops being worth it); top-k runs use the candidate-aware greedy
 // matcher, which only ever touches the O(n·k) represented pairs.
 func (r *Result) MatchOneToOne() []int {
-	if r.Sim != nil && r.Sim.Backend() == align.BackendTopK {
+	if r.Sim.Backend() == align.BackendTopK {
 		return align.GreedyMatchSim(r.Sim)
 	}
-	m := r.M
-	if m == nil {
-		m = r.Sim.Dense()
-	}
+	m := r.Sim.Dense()
 	if m.Rows*m.Cols > 1500*1500 {
 		return align.GreedyMatch(m)
 	}
@@ -266,11 +254,7 @@ func AlignContext(ctx context.Context, gs, gt *graph.Graph, cfg Config) (*Result
 	}
 	// The eager artifact build happened inside Prepare; fold its cost back
 	// into this run's decomposition so one-shot timings read as before.
-	res.Timings.OrbitCounting += p.prep.OrbitCounting
-	res.Timings.Laplacians += p.prep.Laplacians
-	res.Timings.OrbitCountingBytes += p.prep.OrbitCountingBytes
-	res.Timings.LaplaciansBytes += p.prep.LaplaciansBytes
-	res.Timings.TotalBytes += p.prep.OrbitCountingBytes + p.prep.LaplaciansBytes
+	p.FoldPrepareTimings(&res.Timings)
 	res.Timings.Total = time.Since(start)
 	return res, nil
 }
@@ -436,9 +420,6 @@ func (p *Prepared) AlignContext(ctx context.Context, cfg Config) (*Result, error
 		res.PerOrbit[i].Gamma = gammas[i]
 	}
 	res.Sim = sim
-	if d, ok := sim.(align.DenseSim); ok {
-		res.M = d.M
-	}
 	res.Timings.Integration = time.Since(t0)
 	res.Timings.IntegrationBytes = allocBytes() - a0
 	obs.emit(Progress{Stage: StageIntegrate, Done: 1, Total: 1, Orbit: -1})
@@ -469,10 +450,6 @@ func (p *Prepared) AlignContext(ctx context.Context, cfg Config) (*Result, error
 		res.Sim = rres.Sim
 		res.RefineMNC = rres.MNC
 		res.RefineTokenK = rres.TokenK
-		res.M = nil
-		if d, ok := rres.Sim.(align.DenseSim); ok {
-			res.M = d.M
-		}
 		res.Timings.Refinement = time.Since(t0)
 		res.Timings.RefinementBytes = allocBytes() - a0
 	}

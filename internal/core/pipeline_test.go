@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"github.com/htc-align/htc/internal/align"
 	"github.com/htc-align/htc/internal/dense"
 	"github.com/htc-align/htc/internal/graph"
 	"github.com/htc-align/htc/internal/metrics"
@@ -47,7 +48,7 @@ func TestAlignPerfectPair(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep := metrics.Evaluate(res.M, truth, 1)
+	rep := metrics.Evaluate(res.Sim.Dense(), truth, 1)
 	if rep.PrecisionAt[1] < 0.9 {
 		t.Fatalf("p@1 = %v on a noise-free pair, want ≥ 0.9", rep.PrecisionAt[1])
 	}
@@ -60,10 +61,10 @@ func TestAlignVariantsRun(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%v: %v", v, err)
 		}
-		if res.M.Rows != 30 || res.M.Cols != 30 {
-			t.Fatalf("%v: alignment shape %dx%d", v, res.M.Rows, res.M.Cols)
+		if rows, cols := res.Sim.Dims(); rows != 30 || cols != 30 {
+			t.Fatalf("%v: alignment shape %dx%d", v, rows, cols)
 		}
-		rep := metrics.Evaluate(res.M, truth, 1)
+		rep := metrics.Evaluate(res.Sim.Dense(), truth, 1)
 		t.Logf("%v: p@1=%.3f", v, rep.PrecisionAt[1])
 	}
 }
@@ -118,7 +119,7 @@ func TestAlignDeterministicForSeed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !r1.M.Equal(r2.M, 0) {
+	if !r1.Sim.Dense().Equal(r2.Sim.Dense(), 0) {
 		t.Fatal("same seed must give bit-identical alignment")
 	}
 }
@@ -129,7 +130,7 @@ func TestAlignSeedChangesResult(t *testing.T) {
 	r1, _ := Align(gs, gt, cfg)
 	cfg.Seed = 999
 	r2, _ := Align(gs, gt, cfg)
-	if r1.M.Equal(r2.M, 0) {
+	if r1.Sim.Dense().Equal(r2.Sim.Dense(), 0) {
 		t.Fatal("different seeds should perturb the result")
 	}
 }
@@ -143,7 +144,7 @@ func TestAlignNoAttrsUsesStructuralFeatures(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.M == nil {
+	if res.Sim == nil {
 		t.Fatal("no alignment produced")
 	}
 }
@@ -217,8 +218,8 @@ func TestHigherOrderBeatsLowOrderOnClusteredGraph(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pFull := metrics.Evaluate(full.M, truth, 1).PrecisionAt[1]
-	pLow := metrics.Evaluate(low.M, truth, 1).PrecisionAt[1]
+	pFull := metrics.Evaluate(full.Sim.Dense(), truth, 1).PrecisionAt[1]
+	pLow := metrics.Evaluate(low.Sim.Dense(), truth, 1).PrecisionAt[1]
 	t.Logf("HTC p@1=%.3f, HTC-L p@1=%.3f", pFull, pLow)
 	if pFull+0.05 < pLow {
 		t.Fatalf("full HTC (%.3f) clearly worse than HTC-L (%.3f)", pFull, pLow)
@@ -253,7 +254,7 @@ func TestConfigDefaults(t *testing.T) {
 }
 
 func TestResultPredict(t *testing.T) {
-	res := &Result{M: dense.FromRows([][]float64{{0.1, 0.9}, {0.8, 0.2}})}
+	res := &Result{Sim: align.DenseSim{M: dense.FromRows([][]float64{{0.1, 0.9}, {0.8, 0.2}})}}
 	pred := res.Predict()
 	if pred[0] != 1 || pred[1] != 0 {
 		t.Fatalf("Predict = %v", pred)

@@ -198,6 +198,18 @@ func (p *Prepared) Stats() PreparedStats {
 // low-order config).
 func (p *Prepared) PrepareTimings() StageTimings { return p.prep }
 
+// FoldPrepareTimings charges the eager build of PrepareTimings to a run's
+// decomposition t: its stage times, stage bytes and TotalBytes. Total is
+// left alone — it is the wall clock of whatever call t describes, which
+// may or may not have covered Prepare.
+func (p *Prepared) FoldPrepareTimings(t *StageTimings) {
+	t.OrbitCounting += p.prep.OrbitCounting
+	t.Laplacians += p.prep.Laplacians
+	t.OrbitCountingBytes += p.prep.OrbitCountingBytes
+	t.LaplaciansBytes += p.prep.LaplaciansBytes
+	t.TotalBytes += p.prep.OrbitCountingBytes + p.prep.LaplaciansBytes
+}
+
 // resolveSets returns the stage-2 artifact sets for cfg, building and
 // memoising them (and, for orbit-based configs, the stage-1 edge-orbit
 // counts) on first use. Build time is recorded into timings; progress

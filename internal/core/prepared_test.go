@@ -47,7 +47,7 @@ func TestPreparedAlignEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !reflect.DeepEqual(oneShot.M.Data, staged.M.Data) {
+			if !reflect.DeepEqual(oneShot.Sim.Dense().Data, staged.Sim.Dense().Data) {
 				t.Error("alignment matrices differ between one-shot and staged runs")
 			}
 			if !reflect.DeepEqual(oneShot.PerOrbit, staged.PerOrbit) {
@@ -133,7 +133,7 @@ func TestPreparedConcurrentAligns(t *testing.T) {
 		if got[i] == nil {
 			continue
 		}
-		if !reflect.DeepEqual(want[i].M.Data, got[i].M.Data) {
+		if !reflect.DeepEqual(want[i].Sim.Dense().Data, got[i].Sim.Dense().Data) {
 			t.Errorf("config %d: concurrent staged result differs from serial one-shot", i)
 		}
 	}
@@ -174,7 +174,7 @@ func TestPreparedSetEviction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(first.M.Data, again.M.Data) {
+	if !reflect.DeepEqual(first.Sim.Dense().Data, again.Sim.Dense().Data) {
 		t.Error("post-eviction rebuild changed the result")
 	}
 }

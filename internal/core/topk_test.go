@@ -37,11 +37,11 @@ func TestAlignTopKEquivalence(t *testing.T) {
 	if topkRes.CandidateK != n {
 		t.Fatalf("candidate k = %d, want %d", topkRes.CandidateK, n)
 	}
-	if topkRes.M != nil {
-		t.Fatal("top-k run must not materialise the dense alignment matrix")
+	if _, ok := topkRes.Sim.(*align.TopKSim); !ok {
+		t.Fatal("top-k run must hold its scores as a candidate list, not a dense matrix")
 	}
-	if denseRes.M == nil || denseRes.Sim == nil || topkRes.Sim == nil {
-		t.Fatal("result representations missing")
+	if denseRes.Sim == nil {
+		t.Fatal("dense result representation missing")
 	}
 
 	for i := range denseRes.PerOrbit {
@@ -52,7 +52,7 @@ func TestAlignTopKEquivalence(t *testing.T) {
 	}
 	for i := 0; i < n; i++ {
 		for j := 0; j < n; j++ {
-			want := denseRes.M.At(i, j)
+			want := denseRes.Sim.Dense().At(i, j)
 			got, ok := topkRes.Sim.At(i, j)
 			if !ok || got != want {
 				t.Fatalf("score (%d,%d): dense %v, topk %v (ok=%v)", i, j, want, got, ok)
@@ -65,14 +65,14 @@ func TestAlignTopKEquivalence(t *testing.T) {
 			t.Fatalf("predict[%d]: dense %d, topk %d", i, dp[i], tp[i])
 		}
 	}
-	dm := align.GreedyMatch(denseRes.M)
+	dm := align.GreedyMatch(denseRes.Sim.Dense())
 	tm := topkRes.MatchOneToOne()
 	for i := range dm {
 		if dm[i] != tm[i] {
 			t.Fatalf("match[%d]: dense-greedy %d, topk %d", i, dm[i], tm[i])
 		}
 	}
-	dRep := metrics.Evaluate(denseRes.M, truth, 1, 5, 10)
+	dRep := metrics.Evaluate(denseRes.Sim.Dense(), truth, 1, 5, 10)
 	tRep := metrics.EvaluateSim(topkRes.Sim, truth, 1, 5, 10)
 	if dRep.MRR != tRep.MRR || dRep.PrecisionAt[1] != tRep.PrecisionAt[1] || dRep.PrecisionAt[10] != tRep.PrecisionAt[10] {
 		t.Fatalf("evaluation: dense %v vs topk %v", dRep, tRep)

@@ -16,7 +16,7 @@ func TestAlignThreeLayerEncoder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep := metrics.Evaluate(res.M, truth, 1)
+	rep := metrics.Evaluate(res.Sim.Dense(), truth, 1)
 	if rep.PrecisionAt[1] < 0.3 {
 		t.Fatalf("3-layer p@1 = %v, implausibly low", rep.PrecisionAt[1])
 	}
@@ -30,7 +30,7 @@ func TestAlignBinaryGOMs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep := metrics.Evaluate(res.M, truth, 1)
+	rep := metrics.Evaluate(res.Sim.Dense(), truth, 1)
 	t.Logf("binary GOM p@1 = %.3f", rep.PrecisionAt[1])
 	if rep.PrecisionAt[1] < 0.2 {
 		t.Fatalf("binary GOM p@1 = %v, implausibly low", rep.PrecisionAt[1])
@@ -41,7 +41,7 @@ func TestAlignBinaryGOMs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.M.Equal(weighted.M, 0) {
+	if res.Sim.Dense().Equal(weighted.Sim.Dense(), 0) {
 		t.Fatal("binary flag had no effect")
 	}
 }
@@ -132,11 +132,11 @@ func TestAlignSeedsHelpOnNoisyPair(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if plain.M.Equal(withSeeds.M, 0) {
+	if plain.Sim.Dense().Equal(withSeeds.Sim.Dense(), 0) {
 		t.Fatal("seeds had no effect on the alignment matrix")
 	}
-	pPlain := metrics.Evaluate(plain.M, truth, 1).PrecisionAt[1]
-	pSeeded := metrics.Evaluate(withSeeds.M, truth, 1).PrecisionAt[1]
+	pPlain := metrics.Evaluate(plain.Sim.Dense(), truth, 1).PrecisionAt[1]
+	pSeeded := metrics.Evaluate(withSeeds.Sim.Dense(), truth, 1).PrecisionAt[1]
 	t.Logf("unsupervised %.3f vs seeded %.3f", pPlain, pSeeded)
 	if pSeeded+0.1 < pPlain {
 		t.Fatalf("seeds hurt badly: %.3f vs %.3f", pSeeded, pPlain)
@@ -155,7 +155,7 @@ func TestAlignSeedsIgnoredWithoutFineTune(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !plain.M.Equal(seeded.M, 0) {
+	if !plain.Sim.Dense().Equal(seeded.Sim.Dense(), 0) {
 		t.Fatal("no-fine-tune variant must ignore seeds")
 	}
 }
@@ -194,8 +194,8 @@ func TestAlignRectangularVariants(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%v: %v", v, err)
 		}
-		if res.M.Rows != 28 || res.M.Cols != 19 {
-			t.Fatalf("%v: shape %dx%d", v, res.M.Rows, res.M.Cols)
+		if rows, cols := res.Sim.Dims(); rows != 28 || cols != 19 {
+			t.Fatalf("%v: shape %dx%d", v, rows, cols)
 		}
 	}
 }

@@ -104,8 +104,8 @@ type AlignRequest struct {
 
 // validate performs the request checks that don't require running the
 // pipeline; every failure maps to a 400. store resolves dataset names
-// that refer to uploads (nil skips that lookup, for tests).
-func (r *AlignRequest) validate(maxNodes int, store *datasetStore) error {
+// that refer to uploads.
+func (r *AlignRequest) validate(maxNodes int, store *lru[string, *storedDataset]) error {
 	inline := r.Source != nil || r.Target != nil
 	switch {
 	case r.Dataset != "" && inline:
@@ -116,7 +116,7 @@ func (r *AlignRequest) validate(maxNodes int, store *datasetStore) error {
 		return fmt.Errorf("inline requests need both source and target graphs")
 	}
 	if r.Dataset != "" {
-		if ds := store.get(r.Dataset); ds != nil {
+		if ds, ok := store.get(r.Dataset); ok {
 			// An uploaded dataset is self-contained: the generator knobs
 			// and truth of the other request shapes don't apply.
 			switch {

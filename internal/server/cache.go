@@ -66,188 +66,88 @@ func canonicalConfig(cfg core.Config) core.Config {
 	return cfg
 }
 
-// resultCache is a bounded, thread-safe LRU from content hash to
-// completed AlignResult. Alignment is deterministic given the request
-// (every random choice is seed-driven), so cached results never go stale.
-type resultCache struct {
+// lru is a bounded, thread-safe map that evicts its least recently used
+// entry when full. The server keeps four: finished results, refine
+// results, prepared pairs and uploaded datasets. Alignment and refinement
+// are deterministic given their keys (every random choice is seed-driven),
+// so no entry ever goes stale; capacity is the only bound.
+type lru[K comparable, V any] struct {
 	mu    sync.Mutex
 	cap   int
-	order *list.List // front = most recently used
-	items map[string]*list.Element
+	order *list.List // front = most recently used; values are *lruEntry
+	items map[K]*list.Element
 }
 
-type cacheEntry struct {
-	key string
-	res *AlignResult
+type lruEntry[K comparable, V any] struct {
+	key K
+	val V
 }
 
-func newResultCache(capacity int) *resultCache {
-	if capacity <= 0 {
-		capacity = 128
-	}
-	return &resultCache{cap: capacity, order: list.New(), items: make(map[string]*list.Element)}
+func newLRU[K comparable, V any](capacity int) *lru[K, V] {
+	return &lru[K, V]{cap: capacity, order: list.New(), items: make(map[K]*list.Element)}
 }
 
-// get returns a copy of the cached result flagged Cached, or nil.
-func (c *resultCache) get(key string) *AlignResult {
+// get returns the value stored under key and marks it most recently used.
+func (c *lru[K, V]) get(key K) (V, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.items[key]
 	if !ok {
-		return nil
+		var zero V
+		return zero, false
 	}
 	c.order.MoveToFront(el)
-	cp := *el.Value.(*cacheEntry).res
-	cp.Cached = true
-	return &cp
+	return el.Value.(*lruEntry[K, V]).val, true
 }
 
-// put stores a result, evicting the least recently used entry when full.
-func (c *resultCache) put(key string, res *AlignResult) {
+// put stores val under key as the most recently used entry. It reports
+// whether an entry under key was replaced, and how many least recently
+// used entries were evicted to stay within capacity.
+func (c *lru[K, V]) put(key K, val V) (replaced bool, evicted int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.items[key]; ok {
-		el.Value.(*cacheEntry).res = res
+		el.Value.(*lruEntry[K, V]).val = val
 		c.order.MoveToFront(el)
-		return
+		return true, 0
 	}
-	c.items[key] = c.order.PushFront(&cacheEntry{key: key, res: res})
+	c.items[key] = c.order.PushFront(&lruEntry[K, V]{key: key, val: val})
 	for c.order.Len() > c.cap {
 		oldest := c.order.Back()
 		c.order.Remove(oldest)
-		delete(c.items, oldest.Value.(*cacheEntry).key)
+		delete(c.items, oldest.Value.(*lruEntry[K, V]).key)
+		evicted++
 	}
+	return false, evicted
 }
 
-// len reports the number of cached results.
-func (c *resultCache) len() int {
+// delete removes the entry under key, reporting whether it existed.
+func (c *lru[K, V]) delete(key K) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	el, ok := c.items[key]
+	if !ok {
+		return false
+	}
+	c.order.Remove(el)
+	delete(c.items, key)
+	return true
+}
+
+// len reports the number of entries.
+func (c *lru[K, V]) len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.order.Len()
 }
 
-// refineCache is a bounded, thread-safe LRU from a refine request's
-// content identity (input matching + graphs + knobs) to its completed
-// RefineResult. Refinement is deterministic given its input, so entries
-// never go stale.
-type refineCache struct {
-	mu    sync.Mutex
-	cap   int
-	order *list.List // front = most recently used
-	items map[string]*list.Element
-}
-
-type refineEntry struct {
-	key string
-	res *RefineResult
-}
-
-func newRefineCache(capacity int) *refineCache {
-	if capacity <= 0 {
-		capacity = 128
-	}
-	return &refineCache{cap: capacity, order: list.New(), items: make(map[string]*list.Element)}
-}
-
-// get returns a copy of the cached result flagged Cached, or nil.
-func (c *refineCache) get(key string) *RefineResult {
+// values returns every stored value, most recently used first.
+func (c *lru[K, V]) values() []V {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	el, ok := c.items[key]
-	if !ok {
-		return nil
+	out := make([]V, 0, c.order.Len())
+	for el := c.order.Front(); el != nil; el = el.Next() {
+		out = append(out, el.Value.(*lruEntry[K, V]).val)
 	}
-	c.order.MoveToFront(el)
-	cp := *el.Value.(*refineEntry).res
-	cp.Cached = true
-	return &cp
-}
-
-// put stores a result, evicting the least recently used entry when full.
-func (c *refineCache) put(key string, res *RefineResult) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.items[key]; ok {
-		el.Value.(*refineEntry).res = res
-		c.order.MoveToFront(el)
-		return
-	}
-	c.items[key] = c.order.PushFront(&refineEntry{key: key, res: res})
-	for c.order.Len() > c.cap {
-		oldest := c.order.Back()
-		c.order.Remove(oldest)
-		delete(c.items, oldest.Value.(*refineEntry).key)
-	}
-}
-
-// len reports the number of cached refine results.
-func (c *refineCache) len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.order.Len()
-}
-
-// preparedCache is a bounded LRU from a graph pair's content hash
-// (core.PairHash) to its prepared pipeline artifacts, so separate jobs on
-// the same pair — a client re-submitting with new hyperparameters, a
-// sweep following a single align — share one orbit-counting pass and one
-// set of Laplacians. A core.Prepared is immutable input-wise and
-// concurrency-safe, so handing the same instance to concurrent jobs is
-// sound; it only ever accretes more memoised artifacts. The cache is
-// kept much smaller than the result cache because each entry pins whole
-// graphs plus per-orbit sparse matrices.
-type preparedCache struct {
-	mu    sync.Mutex
-	cap   int
-	order *list.List // front = most recently used
-	items map[string]*list.Element
-}
-
-type preparedEntry struct {
-	key  string
-	prep *core.Prepared
-}
-
-func newPreparedCache(capacity int) *preparedCache {
-	if capacity <= 0 {
-		capacity = 8
-	}
-	return &preparedCache{cap: capacity, order: list.New(), items: make(map[string]*list.Element)}
-}
-
-// get returns the cached prepared pair, or nil.
-func (c *preparedCache) get(key string) *core.Prepared {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.items[key]
-	if !ok {
-		return nil
-	}
-	c.order.MoveToFront(el)
-	return el.Value.(*preparedEntry).prep
-}
-
-// put stores a prepared pair, evicting the least recently used entry
-// when full. A concurrent duplicate (two jobs preparing the same pair at
-// once) keeps the first stored instance so later jobs converge on one.
-func (c *preparedCache) put(key string, prep *core.Prepared) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.items[key]; ok {
-		c.order.MoveToFront(el)
-		return
-	}
-	c.items[key] = c.order.PushFront(&preparedEntry{key: key, prep: prep})
-	for c.order.Len() > c.cap {
-		oldest := c.order.Back()
-		c.order.Remove(oldest)
-		delete(c.items, oldest.Value.(*preparedEntry).key)
-	}
-}
-
-// len reports the number of cached prepared pairs.
-func (c *preparedCache) len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.order.Len()
+	return out
 }

@@ -1,6 +1,8 @@
 package server
 
 import (
+	"slices"
+	"sync"
 	"testing"
 
 	"github.com/htc-align/htc/internal/core"
@@ -56,28 +58,128 @@ func TestCacheKeyNormalisation(t *testing.T) {
 	}
 }
 
-func TestResultCacheLRU(t *testing.T) {
-	c := newResultCache(2)
-	r1, r2, r3 := &AlignResult{EpochsTrained: 1}, &AlignResult{EpochsTrained: 2}, &AlignResult{EpochsTrained: 3}
-	c.put("a", r1)
-	c.put("b", r2)
-	if got := c.get("a"); got == nil || got.EpochsTrained != 1 {
-		t.Fatalf("get(a) = %+v", got)
+// TestLRU drives the server's one cache implementation through each of
+// its contracts; every case starts from an empty capacity-2 cache and
+// ends by checking the surviving entries, most recently used first.
+func TestLRU(t *testing.T) {
+	res := func(epochs int) AlignResult { return AlignResult{EpochsTrained: epochs} }
+	cases := []struct {
+		name string
+		ops  func(t *testing.T, c *lru[string, AlignResult])
+		want []int // EpochsTrained of values(), most recently used first
+	}{
+		{"get refreshes recency before eviction", func(t *testing.T, c *lru[string, AlignResult]) {
+			c.put("a", res(1))
+			c.put("b", res(2))
+			if got, ok := c.get("a"); !ok || got.EpochsTrained != 1 {
+				t.Fatalf("get(a) = %+v, %v", got, ok)
+			}
+			c.put("c", res(3)) // evicts b, the least recently used
+			if _, ok := c.get("b"); ok {
+				t.Error("b should have been evicted")
+			}
+		}, []int{3, 1}},
+		{"replace in place", func(t *testing.T, c *lru[string, AlignResult]) {
+			c.put("a", res(1))
+			c.put("b", res(2))
+			replaced, evicted := c.put("a", res(10))
+			if !replaced || evicted != 0 {
+				t.Errorf("put(a) again: replaced=%v evicted=%d, want true 0", replaced, evicted)
+			}
+		}, []int{10, 2}},
+		{"evicted count", func(t *testing.T, c *lru[string, AlignResult]) {
+			total := 0
+			for i, key := range []string{"a", "b", "c", "d"} {
+				replaced, evicted := c.put(key, res(i+1))
+				if replaced {
+					t.Errorf("put(%s) reported a replacement", key)
+				}
+				total += evicted
+			}
+			if total != 2 {
+				t.Errorf("4 puts into capacity 2 evicted %d entries, want 2", total)
+			}
+		}, []int{4, 3}},
+		{"delete", func(t *testing.T, c *lru[string, AlignResult]) {
+			c.put("a", res(1))
+			c.put("b", res(2))
+			if !c.delete("a") {
+				t.Error("delete(a) reported a miss")
+			}
+			if c.delete("a") {
+				t.Error("second delete(a) reported a hit")
+			}
+			if _, ok := c.get("a"); ok {
+				t.Error("a survived its deletion")
+			}
+		}, []int{2}},
+		{"values most recent first", func(t *testing.T, c *lru[string, AlignResult]) {
+			c.put("a", res(1))
+			c.put("b", res(2))
+			c.get("a")
+		}, []int{1, 2}},
+		{"result hit is a copy flagged Cached", func(t *testing.T, c *lru[string, AlignResult]) {
+			s := &Server{results: c}
+			stored := res(1)
+			c.put("a", stored)
+			hit := s.cachedResult("a")
+			if hit == nil || hit.EpochsTrained != 1 || !hit.Cached {
+				t.Fatalf("cachedResult(a) = %+v, want a Cached copy of the stored result", hit)
+			}
+			hit.EpochsTrained = 99
+			if again := s.cachedResult("a"); again.EpochsTrained != 1 {
+				t.Error("mutating a hit changed the cached entry: hits must be copies")
+			}
+			if s.cachedResult("missing") != nil {
+				t.Error("a miss must return nil")
+			}
+		}, []int{1}},
 	}
-	if !c.get("a").Cached {
-		t.Error("cache hits must be flagged Cached")
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			c := newLRU[string, AlignResult](2)
+			tc.ops(t, c)
+			var got []int
+			for _, v := range c.values() {
+				got = append(got, v.EpochsTrained)
+			}
+			if !slices.Equal(got, tc.want) || c.len() != len(tc.want) {
+				t.Errorf("values = %v (len %d), want %v", got, c.len(), tc.want)
+			}
+		})
 	}
-	if c.get("a") == r1 {
-		t.Error("cache must return a copy, not the stored pointer")
+}
+
+// TestLRUConcurrent hammers one cache from several goroutines at once;
+// run it under the race detector. The capacity bound must hold however
+// the operations interleave.
+func TestLRUConcurrent(t *testing.T) {
+	const capacity, goroutines, ops = 4, 8, 500
+	c := newLRU[int, int](capacity)
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < ops; i++ {
+				key := (g*ops + i) % (3 * capacity)
+				switch i % 4 {
+				case 0, 1:
+					c.put(key, i)
+				case 2:
+					c.get(key)
+				case 3:
+					c.delete(key)
+				}
+				if n := len(c.values()); n > capacity {
+					t.Errorf("values holds %d entries, capacity %d", n, capacity)
+					return
+				}
+			}
+		}()
 	}
-	c.put("c", r3) // evicts b, the least recently used
-	if c.get("b") != nil {
-		t.Error("b should have been evicted")
-	}
-	if c.get("a") == nil || c.get("c") == nil {
-		t.Error("a and c should survive")
-	}
-	if c.len() != 2 {
-		t.Errorf("len = %d, want 2", c.len())
+	wg.Wait()
+	if n := c.len(); n > capacity {
+		t.Fatalf("len = %d after the storm, capacity %d", n, capacity)
 	}
 }

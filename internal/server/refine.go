@@ -4,7 +4,6 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http"
 	"runtime"
@@ -127,21 +126,8 @@ type RefineResult struct {
 // matching and its graph pair, run RefiNA, extract the refined matching
 // and the before/after metrics.
 func (s *Server) handleRefine(w http.ResponseWriter, r *http.Request) {
-	body := http.MaxBytesReader(w, r.Body, s.opts.MaxBodyBytes)
-	dec := json.NewDecoder(body)
-	dec.DisallowUnknownFields()
 	var req RefineRequest
-	if err := dec.Decode(&req); err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			writeError(w, http.StatusRequestEntityTooLarge, fmt.Sprintf("body exceeds %d bytes", tooLarge.Limit))
-			return
-		}
-		writeError(w, http.StatusBadRequest, "malformed JSON: "+err.Error())
-		return
-	}
-	if dec.More() {
-		writeError(w, http.StatusBadRequest, "trailing data after request body")
+	if !s.decodeBody(w, r, &req) {
 		return
 	}
 	if err := req.validate(); err != nil {
@@ -188,8 +174,8 @@ func (s *Server) handleRefine(w http.ResponseWriter, r *http.Request) {
 		identity = "job:" + job.CacheKey
 		input = "job"
 	} else {
-		ds := s.datasets.get(req.Dataset)
-		if ds == nil {
+		ds, ok := s.datasets.get(req.Dataset)
+		if !ok {
 			writeError(w, http.StatusBadRequest, fmt.Sprintf("no such uploaded dataset %q", req.Dataset))
 			return
 		}
@@ -207,8 +193,9 @@ func (s *Server) handleRefine(w http.ResponseWriter, r *http.Request) {
 	iters := req.iters()
 	qs := sortedCutoffs(req.HitsAt)
 	key := refineKey(identity, match, iters, req.RefineTokenK, qs)
-	if cached := s.refines.get(key); cached != nil {
+	if cached, ok := s.refines.get(key); ok {
 		s.metrics.RefineCacheHits.Add(1)
+		cached.Cached = true
 		writeJSON(w, http.StatusOK, cached)
 		return
 	}
@@ -262,7 +249,7 @@ func (s *Server) handleRefine(w http.ResponseWriter, r *http.Request) {
 		out.EvalBefore = &EvalReport{PrecisionAt: before.PrecisionAt, MRR: before.MRR, Anchors: before.Anchors}
 		out.EvalAfter = &EvalReport{PrecisionAt: after.PrecisionAt, MRR: after.MRR, Anchors: after.Anchors}
 	}
-	s.refines.put(key, out)
+	s.refines.put(key, *out)
 	if s.opts.Log != nil {
 		s.opts.Log.Printf("refine (%s) ran %d iters in %.0fms (%d pairs)", input, iters, out.RefineMS, len(out.Pairs))
 	}

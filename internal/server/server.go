@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log"
 	"net/http"
 	"runtime"
@@ -78,12 +79,18 @@ func (o Options) withDefaults() Options {
 // Server is the alignment service: an http.Handler wiring the job queue,
 // the result cache and the metrics together.
 type Server struct {
-	opts     Options
-	queue    *Queue
-	cache    *resultCache
-	refines  *refineCache
-	prepared *preparedCache
-	datasets *datasetStore
+	opts    Options
+	queue   *Queue
+	results *lru[string, AlignResult]
+	refines *lru[string, RefineResult]
+	// prepared maps a graph pair's content hash (core.PairHash) to its
+	// prepared pipeline artifacts, so separate jobs on the same pair — a
+	// client re-submitting with new hyperparameters, a sweep following a
+	// single align — share one orbit-counting pass and one set of
+	// Laplacians. A core.Prepared is concurrency-safe and only ever
+	// accretes memoised artifacts, so concurrent jobs may share one.
+	prepared *lru[string, *core.Prepared]
+	datasets *lru[string, *storedDataset]
 	metrics  *Metrics
 	mux      *http.ServeMux
 	started  time.Time
@@ -95,10 +102,10 @@ func New(opts Options) *Server {
 	opts = opts.withDefaults()
 	s := &Server{
 		opts:     opts,
-		cache:    newResultCache(opts.CacheSize),
-		refines:  newRefineCache(opts.CacheSize),
-		prepared: newPreparedCache(opts.PreparedCacheSize),
-		datasets: newDatasetStore(opts.DatasetCacheSize),
+		results:  newLRU[string, AlignResult](opts.CacheSize),
+		refines:  newLRU[string, RefineResult](opts.CacheSize),
+		prepared: newLRU[string, *core.Prepared](opts.PreparedCacheSize),
+		datasets: newLRU[string, *storedDataset](opts.DatasetCacheSize),
 		metrics:  &Metrics{},
 		mux:      http.NewServeMux(),
 		started:  time.Now(),
@@ -146,13 +153,21 @@ func perJobWorkers(gomaxprocs, pool int) int {
 	return w
 }
 
-// jobConfig resolves the pipeline config a job actually runs: the
-// requested worker count capped at the server's per-job CPU budget (0 =
-// "whatever the server grants").
-func (s *Server) jobConfig(cfg core.Config) core.Config {
+// jobConfig resolves the pipeline config one entry of a job actually
+// runs: the requested worker count capped at the server's per-job CPU
+// budget (0 = "whatever the server grants"), with progress reported into
+// the job's live block. cfgIdx/cfgTotal locate a sweep entry (0 for
+// singles).
+func (s *Server) jobConfig(job *Job, cfg core.Config, cfgIdx, cfgTotal int) core.Config {
 	budget := perJobWorkers(runtime.GOMAXPROCS(0), s.opts.Workers)
 	if cfg.Workers <= 0 || cfg.Workers > budget {
 		cfg.Workers = budget
+	}
+	cfg.Progress = func(ev core.Progress) {
+		job.SetProgress(ProgressInfo{
+			Stage: ev.Stage, Done: ev.Done, Total: ev.Total,
+			Config: cfgIdx, Configs: cfgTotal,
+		})
 	}
 	return cfg
 }
@@ -177,30 +192,15 @@ func (s *Server) runJob(ctx context.Context, job *Job) (any, error) {
 		return s.runSweep(ctx, job, pair)
 	}
 
-	cfg := s.jobConfig(job.Req.Config)
-	cfg.Progress = jobObserver(job, 0, 0)
+	cfg := s.jobConfig(job, job.Req.Config, 0, 0)
 	prep, prepHit, err := s.preparedFor(ctx, pair, cfg)
 	if err != nil {
 		return nil, err
 	}
-	res, err := prep.AlignContext(ctx, cfg)
+	out, err := s.alignConfig(ctx, job, pair, prep, cfg, job.CacheKey, prepHit, !prepHit)
 	if err != nil {
 		return nil, err
 	}
-	s.metrics.recordBackend(res)
-	if !prepHit {
-		// This job paid the eager artifact build inside Prepare; fold it
-		// into the run's stage decomposition like the one-shot API does.
-		pt := prep.PrepareTimings()
-		res.Timings.OrbitCounting += pt.OrbitCounting
-		res.Timings.Laplacians += pt.Laplacians
-		res.Timings.OrbitCountingBytes += pt.OrbitCountingBytes
-		res.Timings.LaplaciansBytes += pt.LaplaciansBytes
-		res.Timings.TotalBytes += pt.OrbitCountingBytes + pt.LaplaciansBytes
-	}
-	out := buildResult(res, pair, job.Req.cutoffs())
-	out.PreparedCached = prepHit
-	s.cache.put(job.CacheKey, out)
 	if s.opts.Log != nil {
 		s.opts.Log.Printf("job %s done in %.0fms (%d pairs)", job.ID, out.TimingsMS.Total, len(out.Pairs))
 	}
@@ -238,7 +238,7 @@ func (s *Server) runSweep(ctx context.Context, job *Job, pair *datasets.Pair) (*
 			}
 			keys[i] = k
 		}
-		if cached := s.cache.get(keys[i]); cached != nil {
+		if cached := s.cachedResult(keys[i]); cached != nil {
 			s.metrics.CacheHits.Add(1)
 			entry.Result = cached
 			continue
@@ -256,9 +256,7 @@ func (s *Server) runSweep(ctx context.Context, job *Job, pair *datasets.Pair) (*
 
 	// Prepare (or fetch) the shared artifacts, seeded by the first config
 	// that actually runs.
-	firstCfg := s.jobConfig(configs[pending[0]])
-	firstCfg.Progress = jobObserver(job, pending[0]+1, len(configs))
-	prep, prepHit, err := s.preparedFor(ctx, pair, firstCfg)
+	prep, prepHit, err := s.preparedFor(ctx, pair, s.jobConfig(job, configs[pending[0]], pending[0]+1, len(configs)))
 	if err != nil {
 		return nil, err
 	}
@@ -273,9 +271,8 @@ func (s *Server) runSweep(ctx context.Context, job *Job, pair *datasets.Pair) (*
 			return nil, err
 		}
 		entry := &sweep.Results[i]
-		cfg := s.jobConfig(configs[i])
-		cfg.Progress = jobObserver(job, i+1, len(configs))
-		res, err := prep.AlignContext(ctx, cfg)
+		cfg := s.jobConfig(job, configs[i], i+1, len(configs))
+		out, err := s.alignConfig(ctx, job, pair, prep, cfg, keys[i], prepHit || i != pending[0], foldPrep)
 		if err != nil {
 			if ctx.Err() != nil {
 				return nil, err
@@ -283,19 +280,7 @@ func (s *Server) runSweep(ctx context.Context, job *Job, pair *datasets.Pair) (*
 			entry.Error = err.Error()
 			continue
 		}
-		s.metrics.recordBackend(res)
-		if foldPrep {
-			pt := prep.PrepareTimings()
-			res.Timings.OrbitCounting += pt.OrbitCounting
-			res.Timings.Laplacians += pt.Laplacians
-			res.Timings.OrbitCountingBytes += pt.OrbitCountingBytes
-			res.Timings.LaplaciansBytes += pt.LaplaciansBytes
-			res.Timings.TotalBytes += pt.OrbitCountingBytes + pt.LaplaciansBytes
-			foldPrep = false
-		}
-		out := buildResult(res, pair, job.Req.cutoffs())
-		out.PreparedCached = prepHit || i != pending[0]
-		s.cache.put(keys[i], out)
+		foldPrep = false
 		entry.Result = out
 	}
 	if s.opts.Log != nil {
@@ -304,12 +289,43 @@ func (s *Server) runSweep(ctx context.Context, job *Job, pair *datasets.Pair) (*
 	return sweep, nil
 }
 
+// alignConfig runs one resolved config of a job over its prepared pair,
+// converts the outcome into the API payload and caches it under key.
+// prepCached reports that the run reuses artifacts it did not build;
+// foldPrep charges Prepare's eager artifact build to this run's stage
+// decomposition, like the one-shot API does.
+func (s *Server) alignConfig(ctx context.Context, job *Job, pair *datasets.Pair, prep *core.Prepared, cfg core.Config, key string, prepCached, foldPrep bool) (*AlignResult, error) {
+	res, err := prep.AlignContext(ctx, cfg)
+	if err != nil {
+		return nil, err
+	}
+	s.metrics.recordBackend(res)
+	if foldPrep {
+		prep.FoldPrepareTimings(&res.Timings)
+	}
+	out := buildResult(res, pair, job.Req.cutoffs())
+	out.PreparedCached = prepCached
+	s.results.put(key, *out)
+	return out, nil
+}
+
+// cachedResult returns a copy of the result cached under key, flagged
+// Cached, or nil on a miss.
+func (s *Server) cachedResult(key string) *AlignResult {
+	res, ok := s.results.get(key)
+	if !ok {
+		return nil
+	}
+	res.Cached = true
+	return &res
+}
+
 // preparedFor returns the pair's prepared artifacts, reusing the
 // cross-job artifact cache when the same graphs (by content hash) were
 // prepared before, and preparing + caching them otherwise.
 func (s *Server) preparedFor(ctx context.Context, pair *datasets.Pair, cfg core.Config) (*core.Prepared, bool, error) {
 	key := core.PairHash(pair.Source, pair.Target)
-	if prep := s.prepared.get(key); prep != nil {
+	if prep, ok := s.prepared.get(key); ok {
 		s.metrics.PreparedHits.Add(1)
 		return prep, true, nil
 	}
@@ -320,17 +336,6 @@ func (s *Server) preparedFor(ctx context.Context, pair *datasets.Pair, cfg core.
 	}
 	s.prepared.put(key, prep)
 	return prep, false, nil
-}
-
-// jobObserver adapts the pipeline's progress events into the job's live
-// progress block. cfgIdx/cfgTotal locate a sweep entry (0 for singles).
-func jobObserver(job *Job, cfgIdx, cfgTotal int) core.Observer {
-	return func(ev core.Progress) {
-		job.SetProgress(ProgressInfo{
-			Stage: ev.Stage, Done: ev.Done, Total: ev.Total,
-			Config: cfgIdx, Configs: cfgTotal,
-		})
-	}
 }
 
 // buildResult converts a pipeline result into the API payload: one-to-one
@@ -387,24 +392,34 @@ func buildResult(res *core.Result, pair *datasets.Pair, qs []int) *AlignResult {
 	return out
 }
 
-// decodeRequest parses and validates a submission body; a nil return
-// means the error response was already written.
-func (s *Server) decodeRequest(w http.ResponseWriter, r *http.Request) *AlignRequest {
-	body := http.MaxBytesReader(w, r.Body, s.opts.MaxBodyBytes)
-	dec := json.NewDecoder(body)
+// decodeBody decodes a JSON request body into v: a body over the size
+// limit is a 413; malformed JSON, an unknown field or data after the
+// first JSON value is a 400. A false return means the error response was
+// already written.
+func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.opts.MaxBodyBytes))
 	dec.DisallowUnknownFields()
-	var req AlignRequest
-	if err := dec.Decode(&req); err != nil {
+	if err := dec.Decode(v); err != nil {
 		var tooLarge *http.MaxBytesError
 		if errors.As(err, &tooLarge) {
 			writeError(w, http.StatusRequestEntityTooLarge, fmt.Sprintf("body exceeds %d bytes", tooLarge.Limit))
-			return nil
+			return false
 		}
 		writeError(w, http.StatusBadRequest, "malformed JSON: "+err.Error())
-		return nil
+		return false
 	}
-	if dec.More() {
+	if _, err := dec.Token(); err != io.EOF {
 		writeError(w, http.StatusBadRequest, "trailing data after request body")
+		return false
+	}
+	return true
+}
+
+// decodeRequest parses and validates a submission body; a nil return
+// means the error response was already written.
+func (s *Server) decodeRequest(w http.ResponseWriter, r *http.Request) *AlignRequest {
+	var req AlignRequest
+	if !s.decodeBody(w, r, &req) {
 		return nil
 	}
 	if err := req.validate(s.opts.MaxNodes, s.datasets); err != nil {
@@ -423,17 +438,8 @@ func (s *Server) handleDatasetPut(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	body := http.MaxBytesReader(w, r.Body, s.opts.MaxBodyBytes)
-	dec := json.NewDecoder(body)
-	dec.DisallowUnknownFields()
 	var up DatasetUpload
-	if err := dec.Decode(&up); err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			writeError(w, http.StatusRequestEntityTooLarge, fmt.Sprintf("body exceeds %d bytes", tooLarge.Limit))
-			return
-		}
-		writeError(w, http.StatusBadRequest, "malformed JSON: "+err.Error())
+	if !s.decodeBody(w, r, &up) {
 		return
 	}
 	ds, err := buildDataset(id, &up, s.opts.MaxNodes, time.Now().UTC())
@@ -441,7 +447,7 @@ func (s *Server) handleDatasetPut(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	replaced, evicted := s.datasets.put(ds)
+	replaced, evicted := s.datasets.put(id, ds)
 	s.metrics.DatasetUploads.Add(1)
 	s.metrics.DatasetEvictions.Add(int64(evicted))
 	if s.opts.Log != nil {
@@ -456,8 +462,8 @@ func (s *Server) handleDatasetPut(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleDatasetGet(w http.ResponseWriter, r *http.Request) {
-	ds := s.datasets.get(r.PathValue("id"))
-	if ds == nil {
+	ds, ok := s.datasets.get(r.PathValue("id"))
+	if !ok {
 		writeError(w, http.StatusNotFound, "no such uploaded dataset")
 		return
 	}
@@ -476,9 +482,14 @@ func (s *Server) handleDatasetDelete(w http.ResponseWriter, r *http.Request) {
 // handleDatasetList reports the built-in generator names alongside the
 // uploaded datasets' metadata (most recently used first).
 func (s *Server) handleDatasetList(w http.ResponseWriter, r *http.Request) {
+	stored := s.datasets.values()
+	uploaded := make([]DatasetInfo, len(stored))
+	for i, ds := range stored {
+		uploaded[i] = ds.info
+	}
 	writeJSON(w, http.StatusOK, map[string]any{
 		"builtin":  Datasets(),
-		"uploaded": s.datasets.list(),
+		"uploaded": uploaded,
 	})
 }
 
@@ -520,7 +531,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	if cached := s.cache.get(key); cached != nil {
+	if cached := s.cachedResult(key); cached != nil {
 		s.metrics.CacheHits.Add(1)
 		job := s.queue.Record(req, key, cached)
 		writeJSON(w, http.StatusOK, job.Info())
@@ -560,7 +571,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	sweep := &SweepResult{PreparedCached: true, Results: make([]SweepEntry, len(req.Configs))}
 	allCached := true
 	for i, cfg := range req.Configs {
-		cached := s.cache.get(keys[i])
+		cached := s.cachedResult(keys[i])
 		if cached == nil {
 			allCached = false
 			break
@@ -651,7 +662,7 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 		"queue_depth":      depth,
 		"queue_capacity":   capacity,
 		"jobs_tracked":     s.queue.Len(),
-		"cache_entries":    s.cache.len(),
+		"cache_entries":    s.results.len(),
 		"prepared_entries": s.prepared.len(),
 		"dataset_entries":  s.datasets.len(),
 		"datasets":         Datasets(),
@@ -666,7 +677,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		"htc_queue_depth":      float64(depth),
 		"htc_queue_capacity":   float64(capacity),
 		"htc_workers":          float64(s.queue.Workers()),
-		"htc_cache_entries":    float64(s.cache.len()),
+		"htc_cache_entries":    float64(s.results.len()),
 		"htc_refine_entries":   float64(s.refines.len()),
 		"htc_prepared_entries": float64(s.prepared.len()),
 		"htc_dataset_entries":  float64(s.datasets.len()),

@@ -231,6 +231,38 @@ func TestBadInputs(t *testing.T) {
 	}
 }
 
+// TestTrailingDataRejected sends each JSON endpoint a body it accepts,
+// then the same body followed by a second JSON value or a stray closing
+// brace: one request body holds exactly one JSON value, on every door.
+func TestTrailingDataRejected(t *testing.T) {
+	ts := newTestServer(t, Options{Workers: 1, QueueDepth: 4})
+	light := `{"variant":"HTC-L","epochs":1,"hidden":4,"embed":2}`
+	cases := []struct{ method, path, body string }{
+		{http.MethodPut, "/v1/datasets/tiny", uploadBody()},
+		{http.MethodPost, "/v1/align", `{"dataset":"synthetic","n":30,"config":` + light + `}`},
+		{http.MethodPost, "/v1/sweep", `{"dataset":"synthetic","n":30,"configs":[` + light + `]}`},
+		{http.MethodPost, "/v1/refine", `{"dataset":"tiny","matching":[["a","p"],["b","q"]]}`},
+	}
+	for _, tc := range cases {
+		t.Run(tc.method+" "+tc.path, func(t *testing.T) {
+			if code, blob := doJSON(t, ts, tc.method, tc.path, tc.body); code >= 300 {
+				t.Fatalf("clean body: %d\n%s", code, blob)
+			}
+			for _, trailer := range []string{` {"x":1}`, `}`} {
+				code, blob := doJSON(t, ts, tc.method, tc.path, tc.body+trailer)
+				var env ErrorBody
+				if err := json.Unmarshal(blob, &env); err != nil {
+					t.Fatalf("trailer %q: decoding %s: %v", trailer, blob, err)
+				}
+				if code != http.StatusBadRequest || env.Error.Code != "bad_request" ||
+					env.Error.Message != "trailing data after request body" {
+					t.Errorf("trailer %q: %d %+v, want 400 bad_request \"trailing data after request body\"", trailer, code, env.Error)
+				}
+			}
+		})
+	}
+}
+
 func TestCancelViaHTTP(t *testing.T) {
 	ts := newTestServer(t, Options{Workers: 1})
 

@@ -44,13 +44,14 @@ func TestJobConfigCapsWorkers(t *testing.T) {
 	defer s.Close()
 	budget := perJobWorkers(runtime.GOMAXPROCS(0), 2)
 
-	if got := s.jobConfig(core.Config{}).Workers; got != budget {
+	job := &Job{}
+	if got := s.jobConfig(job, core.Config{}, 0, 0).Workers; got != budget {
 		t.Fatalf("default config got %d workers, want budget %d", got, budget)
 	}
-	if got := s.jobConfig(core.Config{Workers: 1}).Workers; got != 1 {
+	if got := s.jobConfig(job, core.Config{Workers: 1}, 0, 0).Workers; got != 1 {
 		t.Fatalf("explicit 1 worker got %d", got)
 	}
-	if got := s.jobConfig(core.Config{Workers: budget + 7}).Workers; got != budget {
+	if got := s.jobConfig(job, core.Config{Workers: budget + 7}, 0, 0).Workers; got != budget {
 		t.Fatalf("oversized request got %d workers, want clamp to %d", got, budget)
 	}
 }
