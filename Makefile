@@ -7,7 +7,7 @@ GO ?= go
 FUZZTIME ?= 10s
 FUZZ_TARGETS = FuzzEdgeList FuzzAdjList FuzzJSON FuzzHTCGraph FuzzSniff FuzzTruth
 
-.PHONY: build test test-ann test-refine test-bench lint bench bench-snapshot bench-pipeline bench-io bench-gate fuzz ci
+.PHONY: build test test-ann test-refine test-kernels test-bench lint bench bench-snapshot bench-pipeline bench-io bench-gate fuzz ci
 
 build:
 	$(GO) build ./...
@@ -28,6 +28,14 @@ test-ann:
 # get the same targeted gate the ANN index has.
 test-refine:
 	$(GO) test -race -count=1 ./internal/refine/...
+
+# The dense and sparse product kernels apply four multiply-adds per pass
+# over the output yet must round exactly as one-term loops do, and every
+# pipeline stage relies on that for bit-identical results at any worker
+# count. Run their bit-exact suites and the encoder's built on them under
+# the race detector, uncached.
+test-kernels:
+	$(GO) test -race -count=1 ./internal/dense/... ./internal/sparse/... ./internal/nn/...
 
 # The benchmark program under bench/ is its own module (so root `./...`
 # patterns skip it), yet it compiles against internal/server and
@@ -92,4 +100,4 @@ fuzz:
 		$(GO) test ./internal/ingest/ -run='^$$' -fuzz="^$$t$$" -fuzztime=$(FUZZTIME) || exit 1; \
 	done
 
-ci: lint build test test-ann test-refine test-bench fuzz bench bench-gate
+ci: lint build test test-ann test-refine test-kernels test-bench fuzz bench bench-gate

@@ -1,6 +1,7 @@
 package dense
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -92,11 +93,151 @@ func TestMulLargeParallelPath(t *testing.T) {
 	}
 }
 
-func TestMulVec(t *testing.T) {
-	a := FromRows([][]float64{{1, 2, 3}, {4, 5, 6}})
-	y := MulVec(a, []float64{1, 1, 1})
-	if y[0] != 6 || y[1] != 15 {
-		t.Fatalf("MulVec = %v", y)
+// The reference kernels are one-term loops: one pass over the destination
+// row per multiply-add (or one accumulator per dot product), skipping
+// exactly the zero coefficients the fused kernels skip. The fused kernels
+// must reproduce them bit for bit.
+
+func refMulInto(c, a, b *Matrix) {
+	k, n := a.Cols, b.Cols
+	c.Zero()
+	for i := 0; i < a.Rows; i++ {
+		ci := c.Data[i*n : i*n+n]
+		ai := a.Data[i*k : i*k+k]
+		for l, av := range ai {
+			if av == 0 {
+				continue
+			}
+			bl := b.Data[l*n : l*n+n]
+			for j, bv := range bl {
+				ci[j] += av * bv
+			}
+		}
+	}
+}
+
+func refMulATAccum(c, a, b *Matrix) {
+	k, n := a.Cols, b.Cols
+	for l := 0; l < k; l++ {
+		cl := c.Data[l*n : l*n+n]
+		for i := 0; i < a.Rows; i++ {
+			av := a.Data[i*k+l]
+			if av == 0 {
+				continue
+			}
+			bi := b.Data[i*n : i*n+n]
+			for j, bv := range bi {
+				cl[j] += av * bv
+			}
+		}
+	}
+}
+
+func refMulBTInto(c, a, b *Matrix) {
+	k := a.Cols
+	for i := 0; i < a.Rows; i++ {
+		ai := a.Data[i*k : i*k+k]
+		ci := c.Data[i*c.Cols : i*c.Cols+c.Cols]
+		for j := 0; j < b.Rows; j++ {
+			bj := b.Data[j*k : j*k+k]
+			var s float64
+			for l, av := range ai {
+				s += av * bj[l]
+			}
+			ci[j] = s
+		}
+	}
+}
+
+// kernelOperand returns an r×c matrix of normal draws salted with the
+// entries that decide how the fused kernels group their terms: isolated
+// +0 and -0 entries and all-zero rows. With inf set it also plants rare
+// ±Inf entries, so a zero coefficient that a kernel applied instead of
+// skipping would leave a NaN (0·Inf) rather than vanish into a sum.
+func kernelOperand(r, c int, inf bool, rng *rand.Rand) *Matrix {
+	m := New(r, c)
+	for i := 0; i < r; i++ {
+		row := m.Row(i)
+		if rng.Intn(8) == 0 {
+			if rng.Intn(2) == 0 {
+				for j := range row {
+					row[j] = math.Copysign(0, -1)
+				}
+			}
+			continue
+		}
+		for j := range row {
+			switch u := rng.Float64(); {
+			case u < 0.2:
+			case u < 0.3:
+				row[j] = math.Copysign(0, -1)
+			case inf && u < 0.32:
+				row[j] = math.Inf(1 - 2*rng.Intn(2))
+			default:
+				row[j] = rng.NormFloat64()
+			}
+		}
+	}
+	return m
+}
+
+// firstBitDiff returns the index of the first entry where got and want
+// differ in any bit, or -1 when they are identical.
+func firstBitDiff(got, want *Matrix) int {
+	for i, v := range want.Data {
+		if math.Float64bits(got.Data[i]) != math.Float64bits(v) {
+			return i
+		}
+	}
+	return -1
+}
+
+// TestKernelsBitIdenticalToReference checks MulInto, MulATAccum and
+// MulBTInto against the one-term reference loops, comparing the bits of
+// every entry. Inner dimensions cover every residue mod 4, both at toy
+// sizes and past par.For's fan-out threshold, so the four-term groups,
+// their one-term tails and the chunk boundaries of 1, 2, 3 and 8 workers
+// all meet the zero entries; MulATAccum accumulates into a non-zero c that
+// holds -0 entries, and the last shape spans two MulBTInto tiles.
+func TestKernelsBitIdenticalToReference(t *testing.T) {
+	shapes := []struct{ m, k, n int }{
+		{1, 1, 1}, {3, 2, 5}, {4, 3, 7}, {5, 4, 1}, {2, 5, 6}, {7, 6, 3}, {6, 7, 9}, {9, 8, 4},
+		{70, 36, 50}, {65, 37, 45}, {60, 38, 55}, {75, 39, 48}, {30, 101, 170},
+	}
+	for _, sh := range shapes {
+		for seed := int64(0); seed < 3; seed++ {
+			rng := rand.New(rand.NewSource(seed))
+			a := kernelOperand(sh.m, sh.k, false, rng)
+			b := kernelOperand(sh.k, sh.n, true, rng)  // a·b
+			bt := kernelOperand(sh.n, sh.k, true, rng) // a·btᵀ
+			bm := kernelOperand(sh.m, sh.n, true, rng) // c + aᵀ·bm
+			overwritten := New(sh.m, sh.n)
+			overwritten.Fill(math.NaN())
+			for _, kc := range []struct {
+				name string
+				c    *Matrix // initial contents of c
+				run  func(c *Matrix, workers int)
+				ref  func(c *Matrix)
+			}{
+				{"MulInto", overwritten,
+					func(c *Matrix, w int) { MulInto(c, a, b, w) }, func(c *Matrix) { refMulInto(c, a, b) }},
+				{"MulATAccum", kernelOperand(sh.k, sh.n, false, rng),
+					func(c *Matrix, w int) { MulATAccum(c, a, bm, w) }, func(c *Matrix) { refMulATAccum(c, a, bm) }},
+				{"MulBTInto", overwritten,
+					func(c *Matrix, w int) { MulBTInto(c, a, bt, w) }, func(c *Matrix) { refMulBTInto(c, a, bt) }},
+			} {
+				want := kc.c.Clone()
+				kc.ref(want)
+				for _, w := range []int{1, 2, 3, 8} {
+					got := kc.c.Clone()
+					kc.run(got, w)
+					if i := firstBitDiff(got, want); i >= 0 {
+						t.Fatalf("%s %v seed %d workers %d: entry %d = %v, want %v",
+							kc.name, sh, seed, w, i, got.Data[i], want.Data[i])
+					}
+				}
+			}
+		}
 	}
 }
 

@@ -31,19 +31,28 @@ func benchGraphData(n, k, d int, seed int64) *GraphData {
 
 // BenchmarkTrainWorkers measures the stage-3 epoch loop: 2·K independent
 // forward/backward passes per epoch fanned across the worker budget, with
-// per-task gradient buffers and per-worker reusable workspaces.
+// per-task gradient buffers and per-worker reusable workspaces. The
+// paper-movie case trains at the shapes of the benchmark's paper-movie
+// workload (100- and 95-node graphs, 13 orbit Laplacians, 14→128→64), where
+// the dense and sparse product kernels take nearly all of the time.
 func BenchmarkTrainWorkers(b *testing.B) {
-	src := benchGraphData(300, 8, 6, 1)
-	tgt := benchGraphData(280, 8, 6, 2)
-	for _, w := range []struct {
-		label   string
+	for _, c := range []struct {
+		name    string
+		n, m, k int // source nodes, target nodes, Laplacians per graph
+		dims    []int
 		workers int
-	}{{"1", 1}, {"max", 0}} {
-		b.Run("workers="+w.label, func(b *testing.B) {
+	}{
+		{"workers=1", 300, 280, 8, []int{6, 32, 16}, 1},
+		{"workers=max", 300, 280, 8, []int{6, 32, 16}, 0},
+		{"paper-movie/workers=1", 100, 95, 13, []int{14, 128, 64}, 1},
+	} {
+		src := benchGraphData(c.n, c.k, c.dims[0], 1)
+		tgt := benchGraphData(c.m, c.k, c.dims[0], 2)
+		b.Run(c.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				enc := NewEncoder([]int{6, 32, 16}, []Activation{Tanh{}, Tanh{}}, rand.New(rand.NewSource(3)))
-				Train(enc, src, tgt, TrainConfig{Epochs: 10, LR: 0.01, Workers: w.workers})
+				enc := NewEncoder(c.dims, []Activation{Tanh{}, Tanh{}}, rand.New(rand.NewSource(3)))
+				Train(enc, src, tgt, TrainConfig{Epochs: 10, LR: 0.01, Workers: c.workers})
 			}
 		})
 	}

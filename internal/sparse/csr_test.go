@@ -99,11 +99,87 @@ func TestMulDenseLargeParallel(t *testing.T) {
 	}
 }
 
-func TestMulVec(t *testing.T) {
-	a := FromEntries(2, 3, []Entry{{0, 0, 1}, {0, 2, 2}, {1, 1, 3}})
-	y := a.MulVec([]float64{1, 2, 3})
-	if y[0] != 7 || y[1] != 6 {
-		t.Fatalf("MulVec = %v", y)
+// refMulDenseInto is the one-term reference for MulDenseInto: one pass
+// over the destination row per stored entry, zeros included.
+func refMulDenseInto(c *CSR, dst, x *dense.Matrix) {
+	dst.Zero()
+	for i := 0; i < c.Rows; i++ {
+		di := dst.Row(i)
+		for p := c.RowPtr[i]; p < c.RowPtr[i+1]; p++ {
+			v := c.Val[p]
+			xj := x.Row(int(c.ColIdx[p]))
+			for q, xv := range xj {
+				di[q] += v * xv
+			}
+		}
+	}
+}
+
+// kernelCSR returns an m×k CSR matrix storing about half its entries:
+// normal draws salted with explicit +0 and -0 values, rows that store
+// nothing and rows that store only zeros. MulDenseInto applies every
+// stored entry, zeros included, so those rows exercise its grouping.
+func kernelCSR(m, k int, rng *rand.Rand) *CSR {
+	c := &CSR{Rows: m, Cols: k, RowPtr: make([]int32, m+1)}
+	for i := 0; i < m; i++ {
+		kind := rng.Intn(8) // 0: stores nothing, 1: stores only zeros
+		for j := 0; j < k; j++ {
+			if kind == 0 || rng.Intn(2) == 0 {
+				continue
+			}
+			v := rng.NormFloat64()
+			switch u := rng.Intn(10); {
+			case kind == 1 || u == 0:
+				v = 0
+			case u == 1:
+				v = math.Copysign(0, -1)
+			}
+			c.ColIdx = append(c.ColIdx, int32(j))
+			c.Val = append(c.Val, v)
+		}
+		c.RowPtr[i+1] = int32(len(c.Val))
+	}
+	return c
+}
+
+// TestMulDenseBitIdenticalToReference checks MulDenseInto against the
+// one-term reference loop, comparing the bits of every entry. Rows store
+// every count of entries mod 4; x holds -0 entries and rare ±Inf, so a
+// stored zero the kernel skipped would lose the reference's NaN (0·Inf).
+// The larger shapes pass par.For's fan-out threshold, so 1, 2, 3 and 8
+// workers split the rows differently.
+func TestMulDenseBitIdenticalToReference(t *testing.T) {
+	for _, sh := range []struct{ m, k, n int }{
+		{1, 1, 1}, {3, 2, 5}, {4, 3, 7}, {5, 4, 1}, {6, 7, 9}, {9, 8, 4},
+		{160, 40, 50}, {150, 41, 45}, {140, 42, 55}, {130, 43, 48},
+	} {
+		for seed := int64(0); seed < 3; seed++ {
+			rng := rand.New(rand.NewSource(seed))
+			c := kernelCSR(sh.m, sh.k, rng)
+			x := dense.New(sh.k, sh.n)
+			for i := range x.Data {
+				switch u := rng.Float64(); {
+				case u < 0.1:
+					x.Data[i] = math.Copysign(0, -1)
+				case u < 0.12:
+					x.Data[i] = math.Inf(1 - 2*rng.Intn(2))
+				default:
+					x.Data[i] = rng.NormFloat64()
+				}
+			}
+			want := dense.New(sh.m, sh.n)
+			refMulDenseInto(c, want, x)
+			for _, w := range []int{1, 2, 3, 8} {
+				got := dense.New(sh.m, sh.n)
+				got.Fill(math.NaN())
+				c.MulDenseInto(got, x, w)
+				for i, v := range want.Data {
+					if math.Float64bits(got.Data[i]) != math.Float64bits(v) {
+						t.Fatalf("%v seed %d workers %d: entry %d = %v, want %v", sh, seed, w, i, got.Data[i], v)
+					}
+				}
+			}
+		}
 	}
 }
 

@@ -17,9 +17,12 @@ func (c *CSR) MulDense(x *dense.Matrix) *dense.Matrix {
 }
 
 // MulDenseInto computes dst = c·x, overwriting dst, fanning out across at
-// most `workers` goroutines (≤ 0 = GOMAXPROCS). Each dst row is written by
-// exactly one goroutine, so the result is bit-identical for every worker
-// count.
+// most `workers` goroutines (≤ 0 = GOMAXPROCS). Each row of dst sums the
+// rows of x scaled by the stored entries of the matching row of c, in
+// storage order, through a dense.RowAccum: four scaled rows per pass over
+// the row of dst, rounding exactly as one pass per entry would. Each dst
+// row is written by exactly one goroutine, so the result is bit-identical
+// for every worker count.
 func (c *CSR) MulDenseInto(dst, x *dense.Matrix, workers int) {
 	if c.Cols != x.Rows || dst.Rows != c.Rows || dst.Cols != x.Cols {
 		panic(fmt.Sprintf("sparse: MulDense dimension mismatch %s · %dx%d -> %dx%d",
@@ -28,33 +31,15 @@ func (c *CSR) MulDenseInto(dst, x *dense.Matrix, workers int) {
 	n := x.Cols
 	dst.Zero()
 	par.For(workers, c.Rows, avgRowCost(c)*n, func(start, end int) {
+		var acc dense.RowAccum
 		for i := start; i < end; i++ {
-			di := dst.Row(i)
+			acc.Reset(dst.Row(i))
 			for p := c.RowPtr[i]; p < c.RowPtr[i+1]; p++ {
-				v := c.Val[p]
-				xj := x.Row(int(c.ColIdx[p]))
-				for q, xv := range xj {
-					di[q] += v * xv
-				}
+				acc.Add(c.Val[p], x.Row(int(c.ColIdx[p])))
 			}
+			acc.Flush()
 		}
 	})
-}
-
-// MulVec returns c·x for a vector x of length c.Cols.
-func (c *CSR) MulVec(x []float64) []float64 {
-	if c.Cols != len(x) {
-		panic(fmt.Sprintf("sparse: MulVec dimension mismatch %s · %d", c, len(x)))
-	}
-	out := make([]float64, c.Rows)
-	for i := 0; i < c.Rows; i++ {
-		var s float64
-		for p := c.RowPtr[i]; p < c.RowPtr[i+1]; p++ {
-			s += c.Val[p] * x[c.ColIdx[p]]
-		}
-		out[i] = s
-	}
-	return out
 }
 
 // DotDense returns Σ_(i,j) c(i,j)·x(i,j), the inner product between the
