@@ -7,7 +7,7 @@ GO ?= go
 FUZZTIME ?= 10s
 FUZZ_TARGETS = FuzzEdgeList FuzzAdjList FuzzJSON FuzzHTCGraph FuzzSniff FuzzTruth
 
-.PHONY: build test test-ann test-refine test-kernels test-bench lint bench bench-snapshot bench-pipeline bench-io bench-gate fuzz ci
+.PHONY: build test test-ann test-refine test-kernels test-bench lint bench bench-pipeline bench-io bench-gate fuzz ci
 
 build:
 	$(GO) build ./...
@@ -64,10 +64,6 @@ lint:
 # harness works, not a measurement.
 bench:
 	$(GO) test -bench=. -benchtime=1x -run='^$$' ./...
-
-# Refresh the serving-layer perf baseline compared across PRs.
-bench-snapshot:
-	./scripts/bench_snapshot.sh BENCH_server.json
 
 # Refresh the end-to-end pipeline baseline (BenchmarkAlign per variant,
 # workers=1 vs workers=max, the staged-API prepare-reuse sweep, the

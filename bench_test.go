@@ -1,13 +1,12 @@
 package htc_test
 
 // The root benchmark harness regenerates every table and figure of the
-// paper's evaluation section (see DESIGN.md §4 for the experiment index).
+// paper's evaluation section (the artefacts of `htc-experiments -run all`).
 // Each benchmark runs the corresponding experiment driver at a reduced
 // scale so a full `go test -bench=. -benchmem` pass stays laptop-sized;
-// `cmd/htc-experiments -scale 1` reproduces the full-scale reference run
-// recorded in EXPERIMENTS.md. Rendered rows are emitted through b.Logf on
-// the first iteration (visible with -v), so the harness prints the same
-// rows/series the paper reports.
+// `htc-experiments -scale 1` runs the full-scale reference. Rendered rows
+// are emitted through b.Logf on the first iteration (visible with -v), so
+// the harness prints the same rows/series the paper reports.
 
 import (
 	"testing"

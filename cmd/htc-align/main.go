@@ -4,12 +4,9 @@
 // Usage:
 //
 //	htc-align -source s.edges -target t.edges [-format auto|htc-graph|edgelist|json|adjlist]
-//	          [-k 13] [-epochs 60]
-//	          [-variant HTC|HTC-L|HTC-H|HTC-LT|HTC-DT[,more...]] [-seed 1]
+//	          [-config '{"epochs":30,"similarity":"topk"}' | -config @config.json]
+//	          [-variant HTC|HTC-L|HTC-H|HTC-LT|HTC-DT[,more...]]
 //	          [-truth truth.txt] [-top 1] [-progress]
-//	          [-sim auto|dense|topk|ann] [-topk K] [-ann-bits B] [-ann-probes P]
-//	          [-ann-pool-cap C] [-precision auto|f64|f32]
-//	          [-refine-iters N] [-refine-token-k K]
 //	          [-cpuprofile cpu.out] [-memprofile mem.out]
 //
 // -format selects the input reader; the default sniffs each file by
@@ -21,34 +18,24 @@
 // (the ids of the loaded files — plain indices for htc-graph inputs) and
 // enables precision/MRR evaluation.
 //
-// -variant accepts a comma-separated list: the pair is prepared once and
+// -config sets every pipeline knob with one JSON document, given inline
+// or read from the file named after "@". It is the "config" object of an
+// htc-server request, and htc.ParseConfig decodes it as strictly: an
+// unknown field or trailing data is an error, and so is a knob the pair's
+// resolved similarity backend would ignore. Omitted fields take the
+// library defaults.
+//
+// -variant accepts a comma-separated list that replaces the config's
+// variant (setting both is an error): the pair is prepared once and
 // every variant aligns over the shared artifacts (staged API), printing
 // one section per variant. -progress streams per-stage progress (with
 // per-epoch ticks) to stderr.
 //
-// -sim selects the similarity backend: dense materialises full ns×nt
-// score matrices, topk bounds every similarity stage to each node's -topk
-// best counterparts (O(n·k) memory — the backend for large graphs), ann
-// generates the candidate lists through an LSH index (sub-quadratic
-// compute — the backend for huge graphs), auto (the default) picks by
-// pair size. -topk sets the per-node candidate count (0 = automatic);
-// -ann-bits/-ann-probes tune the LSH index (0 = automatic; setting
-// either implies -sim ann, and probes ≥ 2^bits reproduces topk exactly);
-// -ann-pool-cap bounds the per-query re-rank pool (0 = unbounded, also
-// implies -sim ann). ANN runs print a "# ann:" line with the index's
-// skew statistics — bucket balance, re-hashed hot buckets, mean/max
-// re-rank pool and the refit reuse ratio across fine-tune iterations.
-//
-// -precision selects the fine-tune compute tier: f64 (exact), f32 (the
-// half-width tier of the candidate backends — roughly halves similarity
-// memory traffic) or auto (the default — f32 past the same size
-// threshold that selects the ANN backend). Training always runs f64.
-//
-// -refine-iters runs that many RefiNA refinement iterations over the
-// integrated similarity (0, the default, skips the stage); -refine-token-k
-// bounds the per-row token-match budget (0 = automatic). Refined runs
-// print a "# refine:" line with the MNC trajectory and, with -truth, both
-// the refined and the unrefined evaluation.
+// ANN runs print a "# ann:" line with the index's skew statistics —
+// bucket balance, re-hashed hot buckets, mean/max re-rank pool and the
+// refit reuse ratio across fine-tune iterations. Refined runs print a
+// "# refine:" line with the MNC trajectory and, with -truth, both the
+// refined and the unrefined evaluation.
 //
 // -cpuprofile and -memprofile write pprof CPU and heap profiles of the
 // run; the "# timings:" line additionally breaks down per-stage heap
@@ -75,21 +62,11 @@ func main() {
 	sourcePath := flag.String("source", "", "source graph file (required)")
 	targetPath := flag.String("target", "", "target graph file (required)")
 	format := flag.String("format", "", "input format: htc-graph, edgelist, json, adjlist (default: sniff by content)")
-	k := flag.Int("k", 0, "number of orbits (default 13)")
-	epochs := flag.Int("epochs", 0, "training epochs (default 60)")
-	variant := flag.String("variant", "HTC", "pipeline variant(s), comma-separated: HTC, HTC-L, HTC-H, HTC-LT, HTC-DT")
-	seed := flag.Int64("seed", 1, "random seed")
+	config := flag.String("config", "", "pipeline config as JSON, or @file to read it (default: every library default)")
+	variant := flag.String("variant", "", "pipeline variant(s), comma-separated: HTC, HTC-L, HTC-H, HTC-LT, HTC-DT (default: the config's variant)")
 	truthPath := flag.String("truth", "", "optional ground-truth file for evaluation")
 	top := flag.Int("top", 1, "print the top-N candidates per source node")
 	progress := flag.Bool("progress", false, "stream pipeline progress to stderr")
-	sim := flag.String("sim", "auto", "similarity backend: auto, dense, topk or ann")
-	topk := flag.Int("topk", 0, "top-k candidate count per node (0 = automatic; implies -sim topk when set)")
-	annBits := flag.Int("ann-bits", 0, "ANN LSH code width in bits (0 = automatic; implies -sim ann when set)")
-	annProbes := flag.Int("ann-probes", 0, "ANN buckets probed per query (0 = automatic; implies -sim ann when set)")
-	annPoolCap := flag.Int("ann-pool-cap", 0, "ANN per-query re-rank pool bound (0 = unbounded; implies -sim ann when set)")
-	precision := flag.String("precision", "auto", "fine-tune compute tier: auto, f64 or f32")
-	refineIters := flag.Int("refine-iters", 0, "RefiNA refinement iterations after integration (0 = no refinement)")
-	refineTokenK := flag.Int("refine-token-k", 0, "token-match budget per row during refinement (0 = automatic; needs -refine-iters)")
 	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
 	memProfile := flag.String("memprofile", "", "write a pprof heap profile to this file on exit")
 	flag.Parse()
@@ -98,13 +75,23 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	backend, err := htc.ParseSimBackend(*sim)
+	base, err := htc.ParseConfig(*config)
 	if err != nil {
 		log.Fatal(err)
 	}
-	prec, err := htc.ParsePrecision(*precision)
-	if err != nil {
-		log.Fatal(err)
+	variants := []htc.Variant{base.Variant}
+	if *variant != "" {
+		if base.Variant != htc.VariantFull {
+			log.Fatalf("-variant %s and the config's variant %s: set one or the other", *variant, base.Variant)
+		}
+		variants = nil
+		for _, name := range strings.Split(*variant, ",") {
+			v, err := htc.ParseVariant(name)
+			if err != nil {
+				log.Fatal(err)
+			}
+			variants = append(variants, v)
+		}
 	}
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
@@ -132,32 +119,17 @@ func main() {
 			}
 		}()
 	}
-	if *topk < 0 {
-		log.Fatalf("-topk must be ≥ 1 (got %d); 0 selects the automatic count", *topk)
-	}
-	if *annBits > 0 || *annProbes > 0 || *annPoolCap > 0 {
-		if backend == htc.SimilarityAuto {
-			backend = htc.SimilarityANN
-		}
-	} else if *topk > 0 && backend == htc.SimilarityAuto {
-		backend = htc.SimilarityTopK
-	}
 	pair, err := htc.LoadPair(*sourcePath, *targetPath, htc.LoadOptions{Format: *format})
 	if err != nil {
 		log.Fatal(err)
 	}
 	gs, gt := pair.Source, pair.Target
-
-	var variants []htc.Variant
-	for _, name := range strings.Split(*variant, ",") {
-		v, err := htc.ParseVariant(name)
-		if err != nil {
-			log.Fatal(err)
-		}
-		variants = append(variants, v)
+	// The server's admission check: refuse a contradictory config before
+	// paying for orbit counting.
+	if err := base.ValidateSimilarity(gs.N(), gt.N()); err != nil {
+		log.Fatal(err)
 	}
 
-	base := htc.Config{K: *k, Epochs: *epochs, Seed: *seed, Similarity: backend, CandidateK: *topk, AnnBits: *annBits, AnnProbes: *annProbes, AnnPoolCap: *annPoolCap, Precision: prec, RefineIters: *refineIters, RefineTokenK: *refineTokenK}
 	if *progress {
 		base.Progress = progressLogger()
 	}

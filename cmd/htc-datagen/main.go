@@ -1,7 +1,7 @@
-// Command htc-datagen generates the synthetic benchmark datasets described
-// in DESIGN.md (stand-ins for the paper's five network pairs) and writes
-// them in the library's text format, plus a ground-truth file consumable
-// by htc-align.
+// Command htc-datagen generates the synthetic benchmark datasets (stand-ins
+// for the paper's five network pairs; each generator in internal/datasets
+// documents the regime it simulates) and writes them in the library's text
+// format, plus a ground-truth file consumable by htc-align.
 //
 // Usage:
 //

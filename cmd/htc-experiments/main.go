@@ -3,11 +3,9 @@
 //
 // Usage:
 //
-//	htc-experiments -run table1|table2|table3|fig6|fig7|fig8|fig9|fig10|fig11|all
+//	htc-experiments -run table1|table2|table3|fig6|fig7|fig8|fig9|fig9add|fig10|fig11|all
 //	                [-scale 1.0] [-seed 1] [-epochs 0] [-progress]
-//	                [-sim auto|dense|topk|ann] [-topk K] [-ann-bits B] [-ann-probes P]
-//	                [-ann-pool-cap C] [-precision auto|f64|f32]
-//	                [-refine-iters N] [-refine-token-k K]
+//	                [-config '{"similarity":"topk","refine_iters":3}' | -config @config.json]
 //	htc-experiments -source s.edges -target t.edges [-truth pairs.tsv]
 //	                [-format auto|htc-graph|edgelist|json|adjlist] ...
 //
@@ -18,16 +16,16 @@
 //
 // Scale shrinks the datasets proportionally (useful for quick runs);
 // epochs overrides training length (0 = defaults); -progress streams
-// per-stage pipeline progress to stderr. -sim/-topk and the -ann-* flags
-// select and tune the HTC similarity backend (baselines are unaffected),
-// so the top-k and ANN approximations can be measured against the paper
-// numbers; -precision selects the fine-tune compute tier the same way
-// (f32 requires a candidate backend). -refine-iters appends the RefiNA
-// refinement stage to every HTC run and adds a "p@1 raw" (unrefined)
-// column to the variant tables, so the refinement lift is measurable per
-// variant; -refine-token-k tunes its token budget. Output is
-// plain text, one section per artefact; EXPERIMENTS.md records a
-// reference run.
+// per-stage pipeline progress to stderr. -config is the base pipeline
+// configuration of every HTC run, in the JSON of htc-align -config and
+// the server's "config", so the top-k and ANN approximations, the
+// precision tier and refinement can be measured against the paper
+// numbers (baselines are unaffected). It must not set seed, epochs or
+// variant: -seed, -epochs and each experiment's variant roster own them.
+// With refine_iters set, the variant tables gain a "p@1 raw"
+// (unrefined) column, so the refinement lift is measurable per variant.
+// Output is plain text, one section per artefact; -run all regenerates
+// the paper's evaluation in order.
 //
 // The variant and hyperparameter sweeps (table3, fig10, fig11) run on
 // the staged Prepare/Align API: each graph pair's orbit counts and
@@ -50,47 +48,27 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("htc-experiments: ")
 
-	run := flag.String("run", "all", "artefact to regenerate (table1..3, fig6..11, all)")
+	run := flag.String("run", "all", "artefact to regenerate (table1..3, fig6..9, fig9add, fig10, fig11, all)")
 	scale := flag.Float64("scale", 1.0, "dataset scale multiplier")
 	seed := flag.Int64("seed", 1, "random seed")
 	epochs := flag.Int("epochs", 0, "training epochs override (0 = defaults)")
 	progress := flag.Bool("progress", false, "stream pipeline stage progress to stderr")
-	sim := flag.String("sim", "auto", "HTC similarity backend: auto, dense, topk or ann")
-	topk := flag.Int("topk", 0, "top-k candidate count per node (0 = automatic; implies -sim topk when set)")
-	annBits := flag.Int("ann-bits", 0, "ANN LSH code width in bits (0 = automatic; implies -sim ann when set)")
-	annProbes := flag.Int("ann-probes", 0, "ANN buckets probed per query (0 = automatic; implies -sim ann when set)")
-	annPoolCap := flag.Int("ann-pool-cap", 0, "ANN per-query re-rank pool bound (0 = unbounded; implies -sim ann when set)")
-	precision := flag.String("precision", "auto", "HTC fine-tune compute tier: auto, f64 or f32")
-	refineIters := flag.Int("refine-iters", 0, "RefiNA refinement iterations after every HTC integration (0 = no refinement)")
-	refineTokenK := flag.Int("refine-token-k", 0, "refinement token-match budget per row (0 = automatic; needs -refine-iters)")
+	config := flag.String("config", "", "base HTC pipeline config as JSON, or @file to read it")
 	sourcePath := flag.String("source", "", "custom run: source graph file (any registered format)")
 	targetPath := flag.String("target", "", "custom run: target graph file")
 	format := flag.String("format", "", "custom run: input format (default: sniff by content)")
 	truthPath := flag.String("truth", "", "custom run: ID-keyed ground-truth pairs file")
 	flag.Parse()
 
-	backend, err := htc.ParseSimBackend(*sim)
-	if err != nil {
-		log.Fatal(err)
+	cfg, err := htc.ParseConfig(*config)
+	fail(err)
+	if cfg.Seed != 0 || cfg.Epochs != 0 || cfg.Variant != htc.VariantFull {
+		log.Fatal("-config must not set seed, epochs or variant: pass -seed and -epochs, and each experiment runs its own variant roster")
 	}
-	if *topk < 0 {
-		log.Fatalf("-topk must be ≥ 1 (got %d); 0 selects the automatic count", *topk)
-	}
-	if *annBits > 0 || *annProbes > 0 || *annPoolCap > 0 {
-		if backend == htc.SimilarityAuto {
-			backend = htc.SimilarityANN
-		}
-	} else if *topk > 0 && backend == htc.SimilarityAuto {
-		backend = htc.SimilarityTopK
-	}
-	prec, err := htc.ParsePrecision(*precision)
-	if err != nil {
-		log.Fatal(err)
-	}
-	o := experiments.Options{Scale: *scale, Seed: *seed, Epochs: *epochs, Similarity: backend, CandidateK: *topk, AnnBits: *annBits, AnnProbes: *annProbes, AnnPoolCap: *annPoolCap, Precision: prec, RefineIters: *refineIters, RefineTokenK: *refineTokenK}
 	if *progress {
-		o.Progress = stageLogger()
+		cfg.Progress = stageLogger()
 	}
+	o := experiments.Options{Scale: *scale, Seed: *seed, Epochs: *epochs, Config: cfg}
 	start := time.Now()
 
 	if *sourcePath != "" || *targetPath != "" {

@@ -25,8 +25,14 @@
 package htc
 
 import (
+	"bytes"
+	"encoding/json"
+	"errors"
+	"fmt"
 	"io"
 	"math/rand"
+	"os"
+	"strings"
 
 	"github.com/htc-align/htc/internal/align"
 	"github.com/htc-align/htc/internal/baselines"
@@ -53,6 +59,34 @@ type Matrix = dense.Matrix
 // Config holds the HTC pipeline hyperparameters; the zero value selects
 // the paper's defaults.
 type Config = core.Config
+
+// ParseConfig decodes a pipeline configuration exactly as the alignment
+// server decodes the "config" of a request body: arg is the JSON document
+// itself, or "@path" to read it from a file, and "" is the zero Config
+// (every default). An unknown field, a value its field rejects
+// ("similarity":"bogus") and any data after the document are errors.
+func ParseConfig(arg string) (Config, error) {
+	var cfg Config
+	if arg == "" {
+		return cfg, nil
+	}
+	doc := []byte(arg)
+	if path, ok := strings.CutPrefix(arg, "@"); ok {
+		var err error
+		if doc, err = os.ReadFile(path); err != nil {
+			return cfg, fmt.Errorf("config: %w", err)
+		}
+	}
+	dec := json.NewDecoder(bytes.NewReader(doc))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&cfg); err != nil {
+		return Config{}, fmt.Errorf("config: %w", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return Config{}, errors.New("config: trailing data after the JSON document")
+	}
+	return cfg, nil
+}
 
 // Result is the outcome of an alignment run.
 type Result = core.Result

@@ -3,6 +3,10 @@ package htc_test
 import (
 	"bytes"
 	"math/rand"
+	"os"
+	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
 
 	htc "github.com/htc-align/htc"
@@ -61,6 +65,46 @@ func TestHTCAlignerName(t *testing.T) {
 	}
 	if (htc.HTC{Config: htc.Config{Variant: htc.VariantLowOrder}}).Name() != "HTC-L" {
 		t.Fatal("variant name not propagated")
+	}
+}
+
+func TestParseConfig(t *testing.T) {
+	file := filepath.Join(t.TempDir(), "config.json")
+	if err := os.WriteFile(file, []byte(`{"variant":"HTC-LT","embed":16,"similarity":"topk"}`+"\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name, arg string
+		want      htc.Config
+		err       string // substring of the error; "" = success
+	}{
+		{name: "inline", arg: `{"variant":"HTC-L","epochs":3,"refine_iters":2}`,
+			want: htc.Config{Variant: htc.VariantLowOrder, Epochs: 3, RefineIters: 2}},
+		{name: "file", arg: "@" + file,
+			want: htc.Config{Variant: htc.VariantLowOrderFT, Embed: 16, Similarity: htc.SimilarityTopK}},
+		{name: "empty", arg: "", want: htc.Config{}},
+		{name: "unknown field", arg: `{"epochs":3,"epoch":4}`, err: `unknown field "epoch"`},
+		{name: "trailing value", arg: `{"epochs":3} {"x":1}`, err: "trailing data"},
+		{name: "trailing brace", arg: `{"epochs":3}}`, err: "trailing data"},
+		{name: "trailing bracket", arg: `{"epochs":3}]`, err: "trailing data"},
+		{name: "bad enum", arg: `{"similarity":"bogus"}`, err: "unknown similarity backend"},
+		{name: "missing file", arg: "@" + file + ".missing", err: "no such file"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			got, err := htc.ParseConfig(tc.arg)
+			if tc.err != "" {
+				if err == nil || !strings.Contains(err.Error(), tc.err) {
+					t.Fatalf("ParseConfig(%q) error = %v, want one containing %q", tc.arg, err, tc.err)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatalf("ParseConfig(%q): %v", tc.arg, err)
+			}
+			if !reflect.DeepEqual(got, tc.want) {
+				t.Fatalf("ParseConfig(%q) = %+v, want %+v", tc.arg, got, tc.want)
+			}
+		})
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -23,8 +24,33 @@ const (
 	e2eTruth  = "a x1\nb x2\nc x3\nd x4\ne x5\nf x6\ng x7\nh x8\ni x9\nj x10\n"
 )
 
-func e2eConfig() htc.Config {
-	return htc.Config{Variant: htc.VariantLowOrder, Epochs: 3, Hidden: 8, Embed: 4, M: 5}
+// e2eConfigJSON is the one configuration document every way of aligning
+// the fixture runs: htc.ParseConfig decodes it for the Go API ways, as
+// htc-align -config does, and the server requests embed it verbatim.
+const e2eConfigJSON = `{"variant":"HTC-L","epochs":3,"hidden":8,"embed":4,"m":5}`
+
+// awaitJob reads a job submission's response and polls the job until it
+// finishes, failing the test if the job fails or outlives the deadline.
+func awaitJob(t *testing.T, base string, resp *http.Response) server.JobInfo {
+	t.Helper()
+	deadline := time.Now().Add(60 * time.Second)
+	for {
+		var info server.JobInfo
+		err := json.NewDecoder(resp.Body).Decode(&info)
+		resp.Body.Close()
+		switch {
+		case err != nil:
+			t.Fatal(err)
+		case info.Status == server.StatusDone:
+			return info
+		case info.Status == server.StatusFailed || time.Now().After(deadline):
+			t.Fatalf("server job %s: %s (%s)", info.ID, info.Status, info.Error)
+		}
+		time.Sleep(20 * time.Millisecond)
+		if resp, err = http.Get(base + "/v1/jobs/" + info.ID); err != nil {
+			t.Fatal(err)
+		}
+	}
 }
 
 // TestRealDataThreeWayConsistency locks the acceptance criterion of the
@@ -32,7 +58,8 @@ func e2eConfig() htc.Config {
 // three ways — the one-shot Go API (htc.LoadPair + Align), the staged
 // path the htc-align CLI runs (Prepare + Align + LoadTruthFile), and a
 // server dataset upload followed by a {"dataset": id} align — must
-// report identical Hits@1.
+// report identical Hits@1. All three run one config document, and a
+// one-entry sweep of it must echo the same normalised Config.
 func TestRealDataThreeWayConsistency(t *testing.T) {
 	dir := t.TempDir()
 	write := func(name, data string) string {
@@ -45,6 +72,10 @@ func TestRealDataThreeWayConsistency(t *testing.T) {
 	srcPath := write("s.edges", e2eSource)
 	tgtPath := write("t.edges", e2eTarget)
 	truthPath := write("truth.tsv", e2eTruth)
+	cfg, err := htc.ParseConfig(e2eConfigJSON)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	// Way 1: one-shot Go API.
 	pair, err := htc.LoadPair(srcPath, tgtPath, htc.LoadOptions{})
@@ -55,7 +86,7 @@ func TestRealDataThreeWayConsistency(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := htc.Align(pair.Source, pair.Target, e2eConfig())
+	res, err := htc.Align(pair.Source, pair.Target, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,11 +108,11 @@ func TestRealDataThreeWayConsistency(t *testing.T) {
 
 	// Way 2: the staged path htc-align runs (Prepare once, Align per
 	// variant).
-	prep, err := htc.Prepare(pair.Source, pair.Target, e2eConfig())
+	prep, err := htc.Prepare(pair.Source, pair.Target, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	stagedRes, err := prep.Align(e2eConfig())
+	stagedRes, err := prep.Align(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,31 +140,12 @@ func TestRealDataThreeWayConsistency(t *testing.T) {
 		t.Fatalf("dataset upload: %d", resp.StatusCode)
 	}
 
-	body := `{"dataset":"e2e","config":{"variant":"HTC-L","epochs":3,"hidden":8,"embed":4,"m":5}}`
+	body := `{"dataset":"e2e","config":` + e2eConfigJSON + `}`
 	resp, err = http.Post(ts.URL+"/v1/align", "application/json", strings.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var info server.JobInfo
-	if err := json.NewDecoder(resp.Body).Decode(&info); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	deadline := time.Now().Add(60 * time.Second)
-	for info.Status != server.StatusDone {
-		if time.Now().After(deadline) || info.Status == server.StatusFailed {
-			t.Fatalf("server job %s: %s (%s)", info.ID, info.Status, info.Error)
-		}
-		time.Sleep(20 * time.Millisecond)
-		resp, err = http.Get(ts.URL + "/v1/jobs/" + info.ID)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := json.NewDecoder(resp.Body).Decode(&info); err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-	}
+	info := awaitJob(t, ts.URL, resp)
 	if info.Result == nil || info.Result.Eval == nil {
 		t.Fatalf("server result lacks evaluation: %+v", info.Result)
 	}
@@ -151,6 +163,24 @@ func TestRealDataThreeWayConsistency(t *testing.T) {
 		if !strings.HasPrefix(p[1], "x") {
 			t.Fatalf("server named pair %v does not use the uploaded target ids", p)
 		}
+	}
+
+	// The sweep endpoint decodes the same document into the Config it
+	// echoes: ParseConfig's result, normalised as the server's cache key
+	// normalises it (defaults applied, worker budget stripped).
+	body = `{"dataset":"e2e","configs":[` + e2eConfigJSON + `]}`
+	resp, err = http.Post(ts.URL+"/v1/sweep", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sweep := awaitJob(t, ts.URL, resp).Sweep
+	if sweep == nil || len(sweep.Results) != 1 {
+		t.Fatalf("sweep result = %+v, want one entry", sweep)
+	}
+	want := cfg.WithDefaults()
+	want.Workers = 0
+	if got := sweep.Results[0].Config; !reflect.DeepEqual(got, want) {
+		t.Fatalf("sweep echoed config %+v, want ParseConfig's %+v", got, want)
 	}
 	t.Logf("hits@1 = %v across API, staged CLI path and server", apiHits)
 }

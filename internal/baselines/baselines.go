@@ -6,7 +6,7 @@
 // research system (CENALP); where the original depends on machinery
 // outside this repository's scope (skip-gram training, cross-graph random
 // walks), the closest equivalent built from this repo's substrates is used
-// and the substitution is documented both here and in DESIGN.md.
+// and the substitution is documented in that method's doc comment.
 package baselines
 
 import (

@@ -4,8 +4,8 @@
 // that drives the corresponding experimental result — density, degree
 // distribution, clustering, attribute dimensionality, partial ground
 // truth, and (for Flickr–Myspace) deliberate consistency violation. The
-// mapping from real dataset to generator is documented per function and in
-// DESIGN.md.
+// mapping from real dataset to generator is documented on each generator
+// function.
 //
 // Every generator takes an explicit size (n ≤ 0 selects a laptop-scaled
 // default) and a seed; equal inputs produce identical pairs.

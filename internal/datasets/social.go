@@ -15,7 +15,7 @@ import (
 // networks are anchored, and the two networks have different sizes, which
 // exercises the rectangular-alignment code path. Attributes are 64
 // Zipf-popular interest tags (scaled down from the paper's 538 to keep the
-// first GCN layer laptop-sized; documented in DESIGN.md). n ≤ 0 selects
+// first GCN layer laptop-sized). n ≤ 0 selects
 // the default of 900 online users.
 func Douban(n int, seed int64) *Pair {
 	if n <= 0 {

@@ -18,26 +18,13 @@ import (
 // truth and omitted otherwise.
 func Custom(pair *datasets.Pair, o Options) ([]Cell, string, error) {
 	o = o.withDefaults()
-	type variantDef struct {
-		name    string
-		variant core.Variant
-		binary  bool
-	}
-	variants := []variantDef{
-		{"HTC-L", core.LowOrder, false},
-		{"HTC-H", core.HighOrder, false},
-		{"HTC-LT", core.LowOrderFT, false},
-		{"HTC-DT", core.DiffusionFT, false},
-		{"HTC-B", core.Full, true},
-		{"HTC", core.Full, false},
-	}
 	prep, err := core.Prepare(pair.Source, pair.Target, o.htcConfig())
 	if err != nil {
 		return nil, "", fmt.Errorf("preparing %s: %w", pair.Name, err)
 	}
 	hasTruth := pair.Truth.NumAnchors() > 0
 	var cells []Cell
-	for _, v := range variants {
+	for _, v := range ablations {
 		cfg := o.htcConfig()
 		cfg.Variant = v.variant
 		cfg.Binary = v.binary
@@ -59,7 +46,7 @@ func Custom(pair *datasets.Pair, o Options) ([]Cell, string, error) {
 		cells = append(cells, cell)
 	}
 
-	refined := hasTruth && o.RefineIters > 0
+	refined := hasTruth && o.Config.RefineIters > 0
 	var b strings.Builder
 	fmt.Fprintf(&b, "== custom pair %s: source %v, target %v, %d anchors ==\n",
 		pair.Name, pair.Source, pair.Target, pair.Truth.NumAnchors())

@@ -1,10 +1,10 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation section (§V) on the simulated datasets. Each driver returns a
 // structured result plus a text rendering, so the same code backs the
-// htc-experiments CLI, the root benchmark harness, and EXPERIMENTS.md.
+// htc-experiments CLI and the root benchmark harness.
 //
-// Scale note: a Scale of 1.0 runs the laptop-sized defaults documented in
-// DESIGN.md; smaller scales shrink the datasets proportionally for quick
+// Scale note: a Scale of 1.0 runs the laptop-sized dataset sizes each
+// driver names; smaller scales shrink the datasets proportionally for quick
 // runs and benchmarks. The *shape* of each result (method ordering,
 // crossovers, factors) is the reproduction target, not absolute numbers.
 package experiments
@@ -33,36 +33,12 @@ type Options struct {
 	Seed int64
 	// Epochs overrides training epochs (0 = method defaults).
 	Epochs int
-	// Progress, when non-nil, observes every HTC pipeline run of the
-	// experiment (the htc-experiments -progress flag feeds it to a
-	// stderr logger). Baseline methods don't report progress.
-	Progress core.Observer
-	// Similarity selects the similarity backend every HTC run uses
-	// (auto/dense/topk/ann; the htc-experiments -sim flag). Baselines are
-	// untouched — the knob exists to measure the top-k and ANN
-	// approximations against the paper numbers.
-	Similarity core.SimBackend
-	// CandidateK is the top-k candidate count (0 = automatic).
-	CandidateK int
-	// AnnBits and AnnProbes tune the ANN backend's LSH index (0 =
-	// automatic; the htc-experiments -ann-bits/-ann-probes flags).
-	AnnBits   int
-	AnnProbes int
-	// AnnPoolCap bounds the ANN backend's per-query re-rank pool (0 =
-	// unbounded; the htc-experiments -ann-pool-cap flag).
-	AnnPoolCap int
-	// Precision selects the fine-tune compute tier of every HTC run
-	// (auto/f64/f32; the htc-experiments -precision flag) — the knob to
-	// measure the float32 tier against the paper numbers.
-	Precision core.Precision
-	// RefineIters runs that many RefiNA refinement iterations after every
-	// HTC integration (0 = no refinement; the htc-experiments
-	// -refine-iters flag). Refined runs report both the refined and the
-	// unrefined accuracy, so the refinement lift is visible per variant.
-	RefineIters int
-	// RefineTokenK bounds the refinement token-match budget per row (0 =
-	// automatic; the htc-experiments -refine-token-k flag).
-	RefineTokenK int
+	// Config is the base configuration of every HTC pipeline run (the
+	// htc-experiments -config flag): similarity backend, precision,
+	// refinement and any other knob, plus a Progress observer. Seed and
+	// Epochs above replace its own, each driver sets the variant and the
+	// knobs it sweeps, and baselines ignore it.
+	Config core.Config
 }
 
 func (o Options) withDefaults() Options {
@@ -80,15 +56,19 @@ func (o Options) size(base int) int {
 	return n
 }
 
-// htcConfig is the shared HTC configuration for all experiments.
+// htcConfig is the shared HTC configuration for all experiments: the
+// base Config under the run's seed and epoch budget, with the
+// laptop-sized 64/32 GCN widths wherever the base leaves them unset.
 func (o Options) htcConfig() core.Config {
-	return core.Config{
-		Hidden: 64, Embed: 32, Epochs: o.Epochs, Seed: o.Seed, Progress: o.Progress,
-		Similarity: o.Similarity, CandidateK: o.CandidateK,
-		AnnBits: o.AnnBits, AnnProbes: o.AnnProbes, AnnPoolCap: o.AnnPoolCap,
-		Precision:   o.Precision,
-		RefineIters: o.RefineIters, RefineTokenK: o.RefineTokenK,
+	cfg := o.Config
+	cfg.Seed, cfg.Epochs = o.Seed, o.Epochs
+	if cfg.Hidden <= 0 {
+		cfg.Hidden = 64
 	}
+	if cfg.Embed <= 0 {
+		cfg.Embed = 32
+	}
+	return cfg
 }
 
 // realWorldPairs generates the three "real-world" pairs at the requested

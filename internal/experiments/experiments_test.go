@@ -1,8 +1,11 @@
 package experiments
 
 import (
+	"reflect"
 	"strings"
 	"testing"
+
+	"github.com/htc-align/htc/internal/core"
 )
 
 // tiny returns options small enough for CI: ~60–180 node datasets and
@@ -78,7 +81,7 @@ func TestTable3Refined(t *testing.T) {
 		t.Skip("ablation roster is slow")
 	}
 	o := tiny()
-	o.RefineIters = 3
+	o.Config.RefineIters = 3
 	cells, text, err := Table3(o)
 	if err != nil {
 		t.Fatal(err)
@@ -234,5 +237,13 @@ func TestOptionsDefaults(t *testing.T) {
 	}
 	if n := (Options{Scale: 0.001}).size(800); n != 60 {
 		t.Fatalf("size floor = %d, want 60", n)
+	}
+	// The base config keeps its own knobs and widths; the run's seed and
+	// epochs replace its own, and only unset widths take 64/32.
+	base := core.Config{Embed: 8, Seed: 9, Epochs: 7, RefineIters: 2}
+	got := Options{Seed: 3, Epochs: 4, Config: base}.htcConfig()
+	want := core.Config{Hidden: 64, Embed: 8, Seed: 3, Epochs: 4, RefineIters: 2}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("htcConfig = %+v, want %+v", got, want)
 	}
 }

@@ -90,6 +90,21 @@ type AblationCell struct {
 	Refined     bool
 }
 
+// ablations is the variant roster of the ablation study (Table III) and
+// of custom runs: the five pipeline variants plus the binary-GOM HTC-B.
+var ablations = []struct {
+	name    string
+	variant core.Variant
+	binary  bool
+}{
+	{"HTC-L", core.LowOrder, false},
+	{"HTC-H", core.HighOrder, false},
+	{"HTC-LT", core.LowOrderFT, false},
+	{"HTC-DT", core.DiffusionFT, false},
+	{"HTC-B", core.Full, true},
+	{"HTC", core.Full, false},
+}
+
 // Table3 regenerates the ablation study (paper Table III): the five
 // pipeline variants on Douban and Allmovie–Imdb, extended with the binary
 // GOM variant ("HTC-B") the paper's §IV-A argues is weaker than the
@@ -103,26 +118,13 @@ func Table3(o Options) ([]AblationCell, string, error) {
 		datasets.Douban(o.size(900), o.Seed+1),
 		datasets.AllmovieImdb(o.size(800), o.Seed),
 	}
-	type variantDef struct {
-		name    string
-		variant core.Variant
-		binary  bool
-	}
-	variants := []variantDef{
-		{"HTC-L", core.LowOrder, false},
-		{"HTC-H", core.HighOrder, false},
-		{"HTC-LT", core.LowOrderFT, false},
-		{"HTC-DT", core.DiffusionFT, false},
-		{"HTC-B", core.Full, true},
-		{"HTC", core.Full, false},
-	}
 	var cells []AblationCell
 	for _, pair := range pairs {
 		prep, err := core.Prepare(pair.Source, pair.Target, o.htcConfig())
 		if err != nil {
 			return nil, "", fmt.Errorf("preparing %s: %w", pair.Name, err)
 		}
-		for _, v := range variants {
+		for _, v := range ablations {
 			cfg := o.htcConfig()
 			cfg.Variant = v.variant
 			cfg.Binary = v.binary
@@ -143,7 +145,7 @@ func Table3(o Options) ([]AblationCell, string, error) {
 			cells = append(cells, cell)
 		}
 	}
-	refined := o.RefineIters > 0
+	refined := o.Config.RefineIters > 0
 	var b strings.Builder
 	b.WriteString("== Table III: ablation test ==\n")
 	if refined {

@@ -19,8 +19,8 @@ func decodeBench(b *testing.B, resp *http.Response, v any) {
 }
 
 // BenchmarkServerRoundtrip measures one uncached submit→poll→result cycle
-// over HTTP on a small synthetic pair — the serving-layer number the perf
-// baseline (BENCH_server.json) tracks across PRs.
+// over HTTP on a small synthetic pair: a quick serving-layer smoke number
+// (the benchmark's serve-mixed workload is the tracked measurement).
 func BenchmarkServerRoundtrip(b *testing.B) {
 	s := New(Options{Workers: 2})
 	ts := httptest.NewServer(s)

@@ -2,17 +2,20 @@
 # Refresh a perf baseline: run a package's benchmarks once each and record
 # them as JSON so future PRs have a trajectory to compare against.
 #
-# Usage: scripts/bench_snapshot.sh [out.json] [package] [bench-regex]
+# Usage: scripts/bench_snapshot.sh out.json package [bench-regex]
 #
-#   scripts/bench_snapshot.sh                        # server baseline
 #   scripts/bench_snapshot.sh BENCH_pipeline.json ./internal/core/ 'BenchmarkAlign$'
 #
 # The snapshot records the host's CPU count: the workers=1 vs workers=max
 # series of the pipeline benchmarks only diverge on multi-core hosts.
 set -eu
 
-out=${1:-BENCH_server.json}
-pkg=${2:-./internal/server/}
+if [ $# -lt 2 ]; then
+	echo "usage: $0 out.json package [bench-regex]" >&2
+	exit 2
+fi
+out=$1
+pkg=$2
 regex=${3:-.}
 
 cpus=$(getconf _NPROCESSORS_ONLN 2>/dev/null || echo 1)
