@@ -468,6 +468,7 @@ func BenchmarkRefine(b *testing.B) {
 		}
 		opts := refine.Options{Iters: 3, Workers: 1}
 		b.ReportAllocs()
+		b.ResetTimer()
 		var mnc float64
 		for i := 0; i < b.N; i++ {
 			res, err := refine.Refine(align.DenseSim{M: m}, gs, gt, opts)
@@ -502,6 +503,7 @@ func BenchmarkRefine(b *testing.B) {
 		}
 		opts := refine.Options{Iters: 2, Workers: 1}
 		b.ReportAllocs()
+		b.ResetTimer()
 		var mnc float64
 		for i := 0; i < b.N; i++ {
 			res, err := refine.Refine(sim, ls.Graph, lt.Graph, opts)

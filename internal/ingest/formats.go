@@ -121,8 +121,8 @@ func (jsonFormat) Read(r io.Reader, opts Options) (*Loaded, error) {
 	if err := dec.Decode(&spec); err != nil {
 		return nil, fmt.Errorf("ingest: json: %w", err)
 	}
-	if dec.More() {
-		return nil, fmt.Errorf("ingest: json: trailing data after graph document")
+	if _, err := dec.Token(); err != io.EOF {
+		return nil, fmt.Errorf("ingest: json: trailing data after graph document, near byte %d", dec.InputOffset())
 	}
 	if opts.MaxEdges > 0 && len(spec.Edges) > opts.MaxEdges {
 		return nil, fmt.Errorf("ingest: json: %d edges, limit is %d", len(spec.Edges), opts.MaxEdges)

@@ -123,6 +123,8 @@ func TestJSONSpecValidation(t *testing.T) {
 		"dup ids":        `{"nodes": 2, "edges": [], "ids": ["a", "a"]}`,
 		"unknown field":  `{"nodes": 2, "edges": [], "bogus": 1}`,
 		"trailing":       `{"nodes": 2, "edges": []}{"nodes": 1}`,
+		"trailing brace": `{"nodes": 2, "edges": []}}`,
+		"trailing brack": `{"nodes": 2, "edges": []}]`,
 		"non-finite":     `{"nodes": 1, "edges": [], "attrs": [[1e999]]}`,
 		"negative nodes": `{"nodes": -3, "edges": []}`,
 	} {

@@ -7,24 +7,26 @@
 // outside the current support can enter, and renormalises rows then
 // columns. A few iterations lift Hits@1 for any aligner's output.
 //
-// One implementation serves both align.Sim backend families. Rows are
-// candidate lists throughout: the dense path carries full rows (every
-// column a candidate, no pruning), the sparse path carries top-k rows
-// pruned back to the candidate budget after every update, so a
-// 100k-node alignment refines in O(n·k·deg) per iteration instead of
-// the dense O(n²·deg). Because both paths run the exact same
-// accumulation orders, refining a dense matrix and refining a full
-// (k ≥ nt) candidate list are bit-identical.
+// Two paths serve the two align.Sim backend families. A dense Sim is
+// refined directly over n×n buffers: T = A₁·M through the sparse
+// product kernel, then U = T·A₂ gathered row by row, so an iteration
+// costs O(n²·deg) with no per-row state. Every other Sim is refined as
+// candidate lists: top-k rows pruned back to the candidate budget after
+// every update, so a 100k-node alignment refines in O(n·k·deg) per
+// iteration without an n×n buffer. Both paths add in the same orders,
+// so refining a dense matrix and refining a full (k ≥ nt) candidate
+// list are bit-identical; TestDenseAndFullCandidateListAgreeBitwise
+// checks that across graph shapes, token budgets and worker counts, and
+// TestRefinedBitsPinned pins both paths' output bits.
 package refine
 
 import (
 	"context"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"github.com/htc-align/htc/internal/align"
-	"github.com/htc-align/htc/internal/dense"
 	"github.com/htc-align/htc/internal/graph"
 	"github.com/htc-align/htc/internal/par"
 )
@@ -83,10 +85,19 @@ func Refine(sim align.Sim, gs, gt *graph.Graph, opts Options) (*Result, error) {
 		return nil, fmt.Errorf("refine: token budget must be ≥ 0 (got %d)", opts.TokenK)
 	}
 
-	st := newState(sim, cols)
+	// The row budget TokenK = 0 resolves to: every column on the dense
+	// path, the candidate budget on the candidate path.
+	var st iterate
+	budget := cols
+	if d, ok := sim.(align.DenseSim); ok {
+		st = &denseState{m: d.M}
+	} else {
+		cs := newState(sim, cols)
+		st, budget = cs, cs.k
+	}
 	tokenK := opts.TokenK
 	if tokenK == 0 {
-		tokenK = st.k
+		tokenK = budget
 	}
 	workers := par.Resolve(opts.Workers)
 
@@ -108,7 +119,7 @@ func Refine(sim align.Sim, gs, gt *graph.Graph, opts Options) (*Result, error) {
 				return nil, err
 			}
 		}
-		st = st.step(gs, gt, eps, tokenK, workers)
+		st.step(gs, gt, eps, tokenK, workers)
 		mnc := MNC(st.argmaxRows(workers), gs, gt, workers)
 		res.MNC = append(res.MNC, mnc)
 		if opts.OnIter != nil {
@@ -142,9 +153,110 @@ func FromMatching(match []int, cols, k int) (*align.TopKSim, error) {
 	return &align.TopKSim{C: c, Cols: cols}, nil
 }
 
-// state is the working representation both backends refine through:
-// per-row candidate lists (the dense path's rows are simply full).
-// Rows are never mutated in place across an update — each iteration
+// iterate is the working copy one path refines: the dense path's
+// buffers or the candidate path's rows. Neither ever writes to the
+// input Sim.
+type iterate interface {
+	// argmaxRows extracts the current hard alignment: per row the best
+	// (score desc, column asc) entry, −1 for empty rows.
+	argmaxRows(workers int) []int
+	// softAssignRows converts every row through softAssign, once,
+	// before the first step.
+	softAssignRows()
+	// step runs one RefiNA iteration.
+	step(gs, gt *graph.Graph, eps float64, tokenK, workers int)
+	// toSim returns the iterate in the input's representation.
+	toSim() align.Sim
+}
+
+// softAssign converts a row into the peaked non-negative soft
+// assignment the multiplicative RefiNA update needs: score'(c) =
+// exp((score(c) − rowMax)/T) with the scale-invariant temperature
+// T = (rowMax − rowMin)/logC, with logC = ln(cols), so a row's best
+// entry maps to 1, its worst to 1/cols, and every within-row ranking is
+// preserved. The temperature choice is what makes refinement safe on
+// arbitrary score families (Pearson and LISI scores are negative with
+// heavy near-uniform background): it bounds a full row's background
+// mass at O(1), the same order as one true match, so the update
+// M ⊙ A₁MA₂ measures neighbor agreement rather than degree products.
+// Constant rows (including the one-hot rows of FromMatching) map to
+// all-ones.
+func softAssign(row []float64, logC float64) {
+	if len(row) == 0 {
+		return
+	}
+	max, min := row[0], row[0]
+	for _, v := range row[1:] {
+		if v > max {
+			max = v
+		}
+		if v < min {
+			min = v
+		}
+	}
+	if max == min || logC <= 0 {
+		for c := range row {
+			row[c] = 1
+		}
+		return
+	}
+	invT := logC / (max - min)
+	for c := range row {
+		row[c] = math.Exp((row[c] - max) * invT)
+	}
+}
+
+// topTokens returns the k columns of cand with the largest u[j], ties
+// to the lower column, in no particular order: a size-k heap whose root
+// is the weakest column kept, so selecting costs O(len(cand)·log k)
+// instead of a full sort. h is reused as the heap's backing array.
+func topTokens(h, cand []int32, u []float64, k int) []int32 {
+	// weaker reports whether column a ranks below column b.
+	weaker := func(a, b int32) bool {
+		if u[a] != u[b] {
+			return u[a] < u[b]
+		}
+		return a > b
+	}
+	h = h[:0]
+	for _, j := range cand {
+		c := len(h)
+		if c < k {
+			h = append(h, j)
+			for c > 0 {
+				p := (c - 1) / 2
+				if !weaker(h[c], h[p]) {
+					break
+				}
+				h[c], h[p] = h[p], h[c]
+				c = p
+			}
+			continue
+		}
+		if !weaker(h[0], j) {
+			continue
+		}
+		h[0] = j
+		for p := 0; ; {
+			c := 2*p + 1
+			if c >= k {
+				break
+			}
+			if c+1 < k && weaker(h[c+1], h[c]) {
+				c++
+			}
+			if !weaker(h[c], h[p]) {
+				break
+			}
+			h[c], h[p] = h[p], h[c]
+			p = c
+		}
+	}
+	return h
+}
+
+// state is the candidate path's iterate: per-row candidate lists. Rows
+// are never mutated in place across an update — each iteration
 // double-buffers — so neighbor reads always see the previous iterate.
 type state struct {
 	idx   [][]int32
@@ -152,26 +264,16 @@ type state struct {
 	rows  int
 	cols  int
 	// k is the per-row candidate budget rows are pruned back to after
-	// every update (cols on the dense path: no pruning).
-	k     int
-	dense bool
+	// every update.
+	k int
+	// scratch holds each worker's row buffers across iterations.
+	scratch []*scratch
 }
 
 func newState(sim align.Sim, cols int) *state {
 	rows, _ := sim.Dims()
 	st := &state{rows: rows, cols: cols, idx: make([][]int32, rows), score: make([][]float64, rows)}
 	switch s := sim.(type) {
-	case align.DenseSim:
-		st.dense = true
-		st.k = cols
-		for i := 0; i < rows; i++ {
-			idx := make([]int32, cols)
-			for j := range idx {
-				idx[j] = int32(j)
-			}
-			st.idx[i] = idx
-			st.score[i] = append([]float64(nil), s.M.Row(i)...)
-		}
 	case *align.TopKSim:
 		st.k = s.C.K
 		if st.k < 1 {
@@ -194,65 +296,18 @@ func newState(sim align.Sim, cols int) *state {
 	return st
 }
 
-// softAssignRows converts each row into the peaked non-negative soft
-// assignment the multiplicative RefiNA update needs: score'(c) =
-// exp((score(c) − rowMax)/T) with the scale-invariant temperature
-// T = (rowMax − rowMin)/ln(cols), so a row's best entry maps to 1, its
-// worst to 1/cols, and every within-row ranking is preserved. The
-// temperature choice is what makes refinement safe on arbitrary score
-// families (Pearson and LISI scores are negative with heavy near-uniform
-// background): it bounds a full row's background mass at O(1), the same
-// order as one true match, so the update M ⊙ A₁MA₂ measures neighbor
-// agreement rather than degree products. Constant rows (including the
-// one-hot rows of FromMatching) map to all-ones.
 func (s *state) softAssignRows() {
 	logC := math.Log(float64(s.cols))
-	for i := 0; i < s.rows; i++ {
-		row := s.score[i]
-		if len(row) == 0 {
-			continue
-		}
-		max, min := row[0], row[0]
-		for _, v := range row[1:] {
-			if v > max {
-				max = v
-			}
-			if v < min {
-				min = v
-			}
-		}
-		if max == min || logC <= 0 {
-			for c := range row {
-				row[c] = 1
-			}
-			continue
-		}
-		invT := logC / (max - min)
-		for c := range row {
-			row[c] = math.Exp((row[c] - max) * invT)
-		}
+	for _, row := range s.score {
+		softAssign(row, logC)
 	}
 }
 
-// toSim converts the final state back into the input's representation.
 func (s *state) toSim() align.Sim {
-	if s.dense {
-		m := dense.New(s.rows, s.cols)
-		for i := 0; i < s.rows; i++ {
-			row := m.Row(i)
-			sc := s.score[i]
-			for c, j := range s.idx[i] {
-				row[j] = sc[c]
-			}
-		}
-		return align.DenseSim{M: m}
-	}
 	c := &align.Candidates{K: s.k, Idx: s.idx, Score: s.score}
 	return &align.TopKSim{C: c, Cols: s.cols}
 }
 
-// argmaxRows extracts the current hard alignment: per row the best
-// (score desc, column asc) candidate, −1 for empty rows.
 func (s *state) argmaxRows(workers int) []int {
 	out := make([]int, s.rows)
 	par.Tasks(workers, s.rows, func(i int) {
@@ -284,7 +339,7 @@ type scratch struct {
 	vm     []int32 // support of accV
 	um     []int32 // support of accU
 	rm     []int32 // new row support
-	ord    []int32 // token-selection ordering buffer
+	ord    []int32 // token-selection heap
 }
 
 func newScratch(cols int) *scratch {
@@ -296,52 +351,51 @@ func newScratch(cols int) *scratch {
 	}
 }
 
-// step runs one RefiNA iteration and returns the next iterate. Rows fan
-// out across workers with per-row output slots and a deterministic
+// step runs one RefiNA iteration over the candidate rows. Rows fan out
+// across workers with per-row output slots and a deterministic
 // column-sum reduction, so the result is identical for every worker
 // count and schedule.
-func (s *state) step(gs, gt *graph.Graph, eps float64, tokenK, workers int) *state {
-	next := &state{
-		rows: s.rows, cols: s.cols, k: s.k, dense: s.dense,
-		idx: make([][]int32, s.rows), score: make([][]float64, s.rows),
+func (s *state) step(gs, gt *graph.Graph, eps float64, tokenK, workers int) {
+	if s.scratch == nil {
+		s.scratch = make([]*scratch, par.Resolve(workers))
 	}
-	scratches := make([]*scratch, par.Resolve(workers))
+	idx, score := make([][]int32, s.rows), make([][]float64, s.rows)
 	par.Sharded(workers, s.rows, func(w, i int) {
-		sc := scratches[w]
+		sc := s.scratch[w]
 		if sc == nil {
 			sc = newScratch(s.cols)
-			scratches[w] = sc
+			s.scratch[w] = sc
 		}
-		idx, score := sc.updateRow(i, s, gs, gt, eps, tokenK)
-		if idx == nil {
+		ri, rs := sc.updateRow(i, s, gs, gt, eps, tokenK)
+		if ri == nil {
 			// No neighbor signal reached this row: pass it through. The
 			// slices are read-only from here on, so aliasing the old
 			// iterate is safe.
-			idx, score = s.idx[i], s.score[i]
+			ri, rs = s.idx[i], s.score[i]
 		}
-		next.idx[i], next.score[i] = idx, score
+		idx[i], score[i] = ri, rs
 	})
+	s.idx, s.score = idx, score
 
 	// L1 column normalisation over the represented entries. The sums
 	// accumulate serially in ascending row order — each worker writing
 	// into a shared vector would make the addition order (and thus the
 	// float64 result) schedule-dependent.
 	colSum := make([]float64, s.cols)
-	for i := 0; i < next.rows; i++ {
-		sc := next.score[i]
-		for c, j := range next.idx[i] {
+	for i := 0; i < s.rows; i++ {
+		sc := s.score[i]
+		for c, j := range s.idx[i] {
 			colSum[j] += sc[c]
 		}
 	}
-	par.Tasks(workers, next.rows, func(i int) {
-		sc := next.score[i]
-		for c, j := range next.idx[i] {
+	par.Tasks(workers, s.rows, func(i int) {
+		sc := s.score[i]
+		for c, j := range s.idx[i] {
 			if v := colSum[j]; v > 0 {
 				sc[c] /= v
 			}
 		}
 	})
-	return next
 }
 
 // updateRow computes row i's next iterate: score'(j) = M(i,j)·U(j) + ε
@@ -371,7 +425,7 @@ func (sc *scratch) updateRow(i int, s *state, gs, gt *graph.Graph, eps float64, 
 	sc.vm = vm
 	// Second hop in ascending v so U's accumulation order never depends
 	// on which neighbor row introduced a column.
-	sort.Slice(vm, func(a, b int) bool { return vm[a] < vm[b] })
+	slices.Sort(vm)
 
 	um := sc.um[:0]
 	for _, v := range vm {
@@ -392,16 +446,8 @@ func (sc *scratch) updateRow(i int, s *state, gs, gt *graph.Graph, eps float64, 
 	// outside the current support become a candidate.
 	tm := um
 	if tokenK < len(um) {
-		ord := append(sc.ord[:0], um...)
-		sort.Slice(ord, func(a, b int) bool {
-			ja, jb := ord[a], ord[b]
-			if sc.accU[ja] != sc.accU[jb] {
-				return sc.accU[ja] > sc.accU[jb]
-			}
-			return ja < jb
-		})
-		sc.ord = ord
-		tm = ord[:tokenK]
+		sc.ord = topTokens(sc.ord, um, sc.accU, tokenK)
+		tm = sc.ord
 	}
 	for _, j := range tm {
 		sc.token[j] = gen
@@ -427,7 +473,7 @@ func (sc *scratch) updateRow(i int, s *state, gs, gt *graph.Graph, eps float64, 
 	if len(rm) == 0 {
 		return nil, nil
 	}
-	sort.Slice(rm, func(a, b int) bool { return rm[a] < rm[b] })
+	slices.Sort(rm)
 
 	idx := make([]int32, len(rm))
 	copy(idx, rm)

@@ -1,6 +1,13 @@
 package refine
 
 import (
+	"context"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"errors"
+	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -57,38 +64,193 @@ func fullTopK(m *dense.Matrix) *align.TopKSim {
 	return &align.TopKSim{C: c, Cols: m.Cols}
 }
 
-func TestDenseAndFullCandidateListAgreeBitwise(t *testing.T) {
+// refinePair is one graph pair with a noisy input similarity.
+type refinePair struct {
+	name   string
+	gs, gt *graph.Graph
+	m      *dense.Matrix
+}
+
+// refinePairs covers the graph shapes the two paths must agree on: a
+// square ER pair, a sparse ER pair with isolated nodes on both sides
+// (rows with no neighbor signal, columns no token can reach, and ties
+// in U between leaves of one hub), and a rectangular pair.
+func refinePairs(t *testing.T) []refinePair {
+	t.Helper()
 	gs, gt, perm := testPair(40, 0.12, 3)
 	m := noisySim(40, perm, 0.3, 4)
 	// Mix in negative scores to exercise the non-negativity shift.
 	for i := range m.Data {
 		m.Data[i] -= 0.05
 	}
+	pairs := []refinePair{{"square", gs, gt, m}}
 
-	dres, err := Refine(align.DenseSim{M: m.Clone()}, gs, gt, Options{Iters: 4})
-	if err != nil {
-		t.Fatal(err)
+	gs, gt, perm = testPair(60, 0.03, 21)
+	isolated := 0
+	for i := 0; i < gs.N(); i++ {
+		if gs.Degree(i) == 0 {
+			isolated++
+		}
 	}
-	sres, err := Refine(fullTopK(m), gs, gt, Options{Iters: 4})
-	if err != nil {
-		t.Fatal(err)
+	if isolated == 0 {
+		t.Fatal("the sparse pair has no isolated node")
 	}
-	dm := dres.Sim.(align.DenseSim).M
-	for i := 0; i < 40; i++ {
-		for j := 0; j < 40; j++ {
-			sv, ok := sres.Sim.At(i, j)
-			if !ok {
-				t.Fatalf("pair (%d,%d) missing from the full candidate list after refinement", i, j)
-			}
-			if sv != dm.At(i, j) {
-				t.Fatalf("refined score (%d,%d): dense %v, candidate list %v", i, j, dm.At(i, j), sv)
+	pairs = append(pairs, refinePair{"sparse", gs, gt, noisySim(60, perm, 0.3, 22)})
+
+	rng := rand.New(rand.NewSource(23))
+	gs, gt = graph.ErdosRenyi(30, 0.15, rng), graph.ErdosRenyi(45, 0.1, rng)
+	m = dense.New(30, 45)
+	for i := range m.Data {
+		m.Data[i] = rng.Float64()
+	}
+	return append(pairs, refinePair{"rectangular", gs, gt, m})
+}
+
+func TestDenseAndFullCandidateListAgreeBitwise(t *testing.T) {
+	for _, p := range refinePairs(t) {
+		nt := p.gt.N()
+		for _, tokenK := range []int{0, 1, 7, nt - 1} {
+			for _, workers := range []int{1, 2, 7} {
+				name := fmt.Sprintf("%s/tokenK=%d/workers=%d", p.name, tokenK, workers)
+				opts := Options{Iters: 4, TokenK: tokenK, Workers: workers}
+				dres, err := Refine(align.DenseSim{M: p.m.Clone()}, p.gs, p.gt, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sres, err := Refine(fullTopK(p.m), p.gs, p.gt, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				dm := dres.Sim.(align.DenseSim).M
+				for i := 0; i < dm.Rows; i++ {
+					for j := 0; j < nt; j++ {
+						sv, ok := sres.Sim.At(i, j)
+						if !ok {
+							t.Fatalf("%s: pair (%d,%d) missing from the full candidate list after refinement", name, i, j)
+						}
+						if math.Float64bits(sv) != math.Float64bits(dm.At(i, j)) {
+							t.Fatalf("%s: refined score (%d,%d): dense %v, candidate list %v", name, i, j, dm.At(i, j), sv)
+						}
+					}
+				}
+				for it := range dres.MNC {
+					if math.Float64bits(dres.MNC[it]) != math.Float64bits(sres.MNC[it]) {
+						t.Fatalf("%s: MNC[%d]: dense %v, candidate list %v", name, it, dres.MNC[it], sres.MNC[it])
+					}
+				}
 			}
 		}
 	}
-	for it := range dres.MNC {
-		if dres.MNC[it] != sres.MNC[it] {
-			t.Fatalf("MNC[%d]: dense %v, candidate list %v", it, dres.MNC[it], sres.MNC[it])
+}
+
+// simSHA256 hashes a Sim's exact bits: a dense matrix row-major, a
+// candidate list row by row as its length, then (column, score) pairs.
+func simSHA256(s align.Sim) string {
+	h := sha256.New()
+	var b [8]byte
+	put := func(x uint64) {
+		binary.LittleEndian.PutUint64(b[:], x)
+		h.Write(b[:])
+	}
+	switch s := s.(type) {
+	case align.DenseSim:
+		for _, v := range s.M.Data {
+			put(math.Float64bits(v))
 		}
+	case *align.TopKSim:
+		for i, idx := range s.C.Idx {
+			put(uint64(len(idx)))
+			for c, j := range idx {
+				put(uint64(j))
+				put(math.Float64bits(s.C.Score[i][c]))
+			}
+		}
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// TestRefinedBitsPinned pins the exact output of both paths. The dense ≡
+// candidate-list test alone would pass if both drifted together. The
+// constants were computed with the refinement of commit 7a394b9, before
+// the dense path was rebuilt; a change to them is a change to the
+// numerics and must be deliberate.
+func TestRefinedBitsPinned(t *testing.T) {
+	gs, gt, perm := testPair(60, 0.05, 31)
+	m := noisySim(60, perm, 0.3, 32)
+	dres, err := Refine(align.DenseSim{M: m}, gs, gt, Options{Iters: 3, TokenK: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := simSHA256(dres.Sim), "a29dc56e19a5283c31da48302f2c4786d394bd2a881973018fe1df92ab6714ba"; got != want {
+		t.Errorf("dense refinement bits: sha256 %s, want %s", got, want)
+	}
+
+	gs, gt, perm = testPair(60, 0.08, 33)
+	match := append([]int(nil), perm...)
+	rng := rand.New(rand.NewSource(34))
+	for i := 0; i < 15; i++ {
+		match[rng.Intn(60)] = rng.Intn(60)
+	}
+	sim, err := FromMatching(match, 60, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sres, err := Refine(sim, gs, gt, Options{Iters: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := simSHA256(sres.Sim), "2a2422251949bc2e1b3a4a77847ae8a63eb7b9f927e31efcdbac9f879d4d8536"; got != want {
+		t.Errorf("candidate-list refinement bits: sha256 %s, want %s", got, want)
+	}
+}
+
+// TestInputsUntouchedAndUnshared refines a dense and a candidate-list
+// input, then overwrites every entry of each result: the inputs must
+// come through both bit for bit, so the result shares no backing array
+// with them.
+func TestInputsUntouchedAndUnshared(t *testing.T) {
+	p := refinePairs(t)[1]
+	din := align.DenseSim{M: p.m.Clone()}
+	tin := fullTopK(p.m)
+	want := []string{simSHA256(din), simSHA256(tin)}
+	for k, in := range []align.Sim{din, tin} {
+		res, err := Refine(in, p.gs, p.gt, Options{Iters: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := simSHA256(in); got != want[k] {
+			t.Fatalf("%s input modified by refinement", in.Backend())
+		}
+		switch s := res.Sim.(type) {
+		case align.DenseSim:
+			s.M.Fill(math.NaN())
+		case *align.TopKSim:
+			for i := range s.C.Idx {
+				for c := range s.C.Idx[i] {
+					s.C.Idx[i][c], s.C.Score[i][c] = -1, math.NaN()
+				}
+			}
+		}
+		if got := simSHA256(in); got != want[k] {
+			t.Fatalf("%s result shares memory with the input", in.Backend())
+		}
+	}
+}
+
+func TestCancelFromOnIterStopsDensePath(t *testing.T) {
+	gs, gt, perm := testPair(30, 0.15, 35)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	calls := 0
+	res, err := Refine(align.DenseSim{M: noisySim(30, perm, 0.2, 36)}, gs, gt, Options{
+		Iters: 3, Ctx: ctx,
+		OnIter: func(int, float64) { calls++; cancel() },
+	})
+	if !errors.Is(err, context.Canceled) || res != nil {
+		t.Fatalf("cancelled refinement returned (%v, %v), want (nil, %v)", res, err, context.Canceled)
+	}
+	if calls != 1 {
+		t.Errorf("OnIter ran %d times after cancelling on the first, want 1", calls)
 	}
 }
 
