@@ -79,9 +79,9 @@ bench-io:
 	./scripts/bench_snapshot.sh BENCH_io.json ./internal/ingest/ 'BenchmarkEdgeList1M$$|BenchmarkTruth100K$$'
 
 # The CI regression gate: re-measure and compare against the checked-in
-# pipeline and ingestion baselines, failing on a >2x time, >1.5x
-# allocated-bytes, >1.5x allocation-count or >1.5x ANN pool-rows
-# regression.
+# pipeline and ingestion baselines, failing on a >2x time regression or a
+# >1.5x regression of any other series both snapshots carry (allocated
+# bytes, allocation count, fine-tune bytes, ANN pool rows).
 bench-gate:
 	./scripts/bench_snapshot.sh BENCH_pipeline.ci.json ./internal/core/ 'BenchmarkAlign$$|BenchmarkPrepareReuse$$|BenchmarkAlignTopKLarge$$|BenchmarkAlignAnnIngested100K$$|BenchmarkAnnSkewAdversarial$$|BenchmarkRefine$$'
 	./scripts/bench_check.sh BENCH_pipeline.json BENCH_pipeline.ci.json 2.0 1.5

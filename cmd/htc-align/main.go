@@ -32,10 +32,9 @@
 // per-epoch ticks) to stderr.
 //
 // ANN runs print a "# ann:" line with the index's skew statistics —
-// bucket balance, re-hashed hot buckets, mean/max re-rank pool and the
-// refit reuse ratio across fine-tune iterations. Refined runs print a
-// "# refine:" line with the MNC trajectory and, with -truth, both the
-// refined and the unrefined evaluation.
+// bucket balance, re-hashed hot buckets and the mean/max re-rank pool.
+// Refined runs print a "# refine:" line with the MNC trajectory and,
+// with -truth, both the refined and the unrefined evaluation.
 //
 // -cpuprofile and -memprofile write pprof CPU and heap profiles of the
 // run; the "# timings:" line additionally breaks down per-stage heap
@@ -169,8 +168,8 @@ func main() {
 			gs.N(), pair.SourceFormat, gt.N(), pair.TargetFormat, v, simNote)
 		fmt.Printf("# timings: %v\n", res.Timings)
 		if st := res.Ann; st != nil {
-			fmt.Printf("# ann: buckets=%d maxbucket=%d rehashed=%d pool-mean=%.1f pool-max=%d refit-reuse=%.2f\n",
-				st.Buckets, st.MaxBucket, st.RehashedBuckets, st.PoolRowsMean, st.PoolRowsMax, st.RefitReuseRatio)
+			fmt.Printf("# ann: buckets=%d maxbucket=%d rehashed=%d pool-mean=%.1f pool-max=%d\n",
+				st.Buckets, st.MaxBucket, st.RehashedBuckets, st.PoolRowsMean, st.PoolRowsMax)
 		}
 		if res.PreRefineSim != nil {
 			fmt.Printf("# refine: iters=%d token-k=%d mnc %.4f -> %.4f\n",

@@ -26,7 +26,6 @@ package htc
 
 import (
 	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -77,13 +76,12 @@ func ParseConfig(arg string) (Config, error) {
 			return cfg, fmt.Errorf("config: %w", err)
 		}
 	}
-	dec := json.NewDecoder(bytes.NewReader(doc))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&cfg); err != nil {
+	if err := ingest.DecodeStrict(bytes.NewReader(doc), &cfg); err != nil {
+		var trailing *ingest.TrailingDataError
+		if errors.As(err, &trailing) {
+			return Config{}, errors.New("config: trailing data after the JSON document")
+		}
 		return Config{}, fmt.Errorf("config: %w", err)
-	}
-	if _, err := dec.Token(); err != io.EOF {
-		return Config{}, errors.New("config: trailing data after the JSON document")
 	}
 	return cfg, nil
 }
@@ -92,7 +90,7 @@ func ParseConfig(arg string) (Config, error) {
 type Result = core.Result
 
 // AnnStats is the skew-observability block of an ANN-backed Result:
-// hash balance, per-query pool work and incremental-refit reuse.
+// hash balance and per-query pool work.
 type AnnStats = core.AnnStats
 
 // Variant selects an ablation of the pipeline (Table III).

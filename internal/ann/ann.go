@@ -18,11 +18,9 @@
 // margin-probe order. Params.Unbalanced restores the raw SRP index for
 // A/B comparison.
 //
-// Refitting the same-shaped matrix into an index (the fine-tuning loop)
-// is incremental: the planes and whitening are frozen at the first Fit,
-// and only rows that moved beyond Params.RefitEps since their last
-// recode are re-projected — unmoved rows keep their codes, and the
-// bucket arrays are rebuilt in place.
+// Refitting a same-shaped matrix into an index (the fine-tuning loop)
+// keeps the planes and whitening frozen at the first Fit and recodes
+// every row through them; the bucket arrays are rebuilt in place.
 //
 // The package is metric-agnostic — it ranks by plain inner product — so
 // the caller owns the metric: the align layer centers and row-normalises
@@ -38,7 +36,6 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"sync/atomic"
 
 	"github.com/htc-align/htc/internal/dense"
 	"github.com/htc-align/htc/internal/par"
@@ -48,14 +45,6 @@ import (
 // so 20 bits (1M buckets, 4 MB of offsets) is the widest code worth
 // paying for before the table dominates the candidate structures.
 const MaxBits = 20
-
-// defaultRefitEps is the relative row movement below which a refit keeps
-// a row's code instead of re-projecting it. A unit-norm row moving 2% in
-// L2 tilts by about a degree — only bits whose margin is within that
-// sliver can go stale, and those are exactly the buckets the multi-probe
-// sequence visits first anyway, so candidate recall is unaffected (see
-// TestRefitDriftKeepsRecall).
-const defaultRefitEps = 0.02
 
 // Params fix an index's geometry. The align/core layers resolve zero
 // values to AutoBits/AutoProbes before building an index.
@@ -74,12 +63,6 @@ type Params struct {
 	// (cheapest perturbations first), so the cap truncates the
 	// costliest, least promising buckets. 0 leaves the pool unbounded.
 	PoolCap int
-	// RefitEps tunes the incremental refit: re-fitting a same-shaped
-	// matrix re-projects only the rows whose relative L2 movement since
-	// their last recode exceeds the epsilon. 0 selects defaultRefitEps;
-	// a negative value disables reuse entirely (every Fit recodes every
-	// row — the reference the refit tests compare against).
-	RefitEps float64
 	// Unbalanced disables the data-aware balancing — centering, the
 	// whitening rotation and the hierarchical re-hash of oversized
 	// buckets — restoring the raw SRP index. Kept as the A/B baseline
@@ -131,24 +114,21 @@ type Result struct {
 // Index is a signed-random-projection LSH index over the rows of one
 // matrix. Fit hashes the rows; TopK answers batched queries. An Index is
 // reusable across Fit calls (a fine-tuning loop re-fits each iteration's
-// embeddings into the same scratch, incrementally) but not concurrently
-// usable.
+// embeddings into the same scratch) but not concurrently usable.
 type Index struct {
 	p      Params
 	data   *dense.Matrix   // fitted rows (borrowed, not copied); nil on the f32 tier
 	data32 *dense.Matrix32 // fitted rows of the f32 tier; exactly one of data/data32 is set
 	n      int
 
-	planes *dense.Matrix   // Bits×d effective hyperplanes: G·T, whitened unless Unbalanced
-	bias   []float64       // per-bit centering offsets μ·w̃ (zero when Unbalanced)
-	xform  *dense.Matrix   // d×d whitening transform T (nil when Unbalanced)
-	snap   *dense.Matrix   // row values as of each row's last recode
-	snap32 *dense.Matrix32 // f32-tier snapshot (mirrors snap)
-	proj   *dense.Matrix   // n×Bits row projections (scratch)
-	codes  []uint32        // per-row bucket code
-	start  []int32         // CSR bucket offsets, len 2^Bits+1
-	order  []int32         // row ids grouped by bucket, stable in row order
-	cursor []int32         // counting-sort scratch
+	planes *dense.Matrix // Bits×d effective hyperplanes: G·T, whitened unless Unbalanced
+	bias   []float64     // per-bit centering offsets μ·w̃ (zero when Unbalanced)
+	xform  *dense.Matrix // d×d whitening transform T (nil when Unbalanced)
+	proj   *dense.Matrix // n×Bits row projections of the last hashed fit
+	codes  []uint32      // per-row bucket code
+	start  []int32       // CSR bucket offsets, len 2^Bits+1
+	order  []int32       // row ids grouped by bucket, stable in row order
+	cursor []int32       // counting-sort scratch
 
 	subs      []subTable // second-level tables of re-hashed oversized buckets
 	subOf     []int32    // per bucket: index into subs, or -1
@@ -192,110 +172,28 @@ func (ix *Index) Stats() Stats {
 //
 // The first Fit freezes the hash geometry: hyperplanes are drawn from
 // the seed and rotated/centered against the fitted data (see
-// buildTransform). A later Fit of a same-shaped matrix is incremental —
-// it re-projects only the rows that moved beyond RefitEps since their
-// last recode, reuses every other code, and rebuilds the bucket arrays
-// in place. A shape change rebuilds the index from scratch.
+// buildTransform). A later Fit of a same-shaped matrix keeps that
+// geometry and recodes every row through it; a shape change draws it
+// again.
 func (ix *Index) Fit(data *dense.Matrix, workers int) {
-	ix.data = data
-	ix.data32 = nil
-	ix.n = data.Rows
-	ix.stats.Fits++
-	if ix.p.Exact() || ix.n == 0 {
-		return
-	}
-	ix.stats.Rows += int64(ix.n)
-	fresh := ix.planes == nil || ix.planes.Cols != data.Cols ||
-		ix.snap == nil || ix.snap.Rows != ix.n
+	ix.data, ix.data32 = data, nil
+	hash, fresh := ix.begin(data.Rows, data.Cols)
 	if fresh {
 		ix.buildTransform(data.Cols, data.Rows, data.Row)
 	}
-	ix.codes = growInt32sAsU32(ix.codes, ix.n)
-	if fresh || ix.p.RefitEps < 0 {
-		// Full (re)projection — the kernel is deterministic for every
-		// worker count, so the codes are too.
-		ix.proj = dense.Ensure(ix.proj, ix.n, ix.p.Bits)
+	if hash {
 		dense.MulBTInto(ix.proj, data, ix.planes, workers)
-		par.For(workers, ix.n, ix.p.Bits, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				var c uint32
-				for j, v := range ix.proj.Row(i) {
-					if v-ix.bias[j] >= 0 {
-						c |= 1 << uint(j)
-					}
-				}
-				ix.codes[i] = c
-			}
-		})
-		ix.snap = dense.Ensure(ix.snap, ix.n, data.Cols)
-		ix.snap.CopyFrom(data)
-		ix.stats.Recoded += int64(ix.n)
-	} else {
-		ix.refit(data, workers)
+		ix.encode(workers)
 	}
-	ix.buildBuckets()
-	ix.buildSubs()
 }
 
-// refit is the incremental path of Fit: rows whose relative movement
-// since their last recode stays within the epsilon keep their codes;
-// the rest are re-projected one by one with the same sequential dot
-// product as the batch kernel, so a partial recode is bit-identical to
-// a full one.
-func (ix *Index) refit(data *dense.Matrix, workers int) {
-	eps := ix.p.RefitEps
-	if eps == 0 {
-		eps = defaultRefitEps
-	}
-	eps2 := eps * eps
-	nbits := ix.p.Bits
-	var recoded atomic.Int64
-	par.For(workers, ix.n, 2*data.Cols*(nbits+1), func(lo, hi int) {
-		var rc int64
-		for i := lo; i < hi; i++ {
-			row, old := data.Row(i), ix.snap.Row(i)
-			var d2, n2 float64
-			for l, v := range row {
-				dl := v - old[l]
-				d2 += dl * dl
-				n2 += v * v
-			}
-			if d2 <= eps2*n2 {
-				continue
-			}
-			var c uint32
-			for j := 0; j < nbits; j++ {
-				if dot(row, ix.planes.Row(j))-ix.bias[j] >= 0 {
-					c |= 1 << uint(j)
-				}
-			}
-			ix.codes[i] = c
-			copy(old, row)
-			rc++
-		}
-		recoded.Add(rc)
-	})
-	rc := recoded.Load()
-	ix.stats.Recoded += rc
-	ix.stats.Reused += int64(ix.n) - rc
-}
-
-// Fit32 is Fit for the float32 compute tier: the same hash geometry and
-// incremental-refit contract over half-width rows. Projections and
-// movement tests accumulate in float64 (see dot32), so codes are exactly
-// as deterministic as the float64 tier's. An index fitted with Fit32
-// answers queries through TopK32.
+// Fit32 is Fit for the float32 compute tier: the same frozen geometry
+// over half-width rows. Projections accumulate in float64 (see dot32),
+// so codes are exactly as deterministic as the float64 tier's. An index
+// fitted with Fit32 answers queries through TopK32.
 func (ix *Index) Fit32(data *dense.Matrix32, workers int) {
-	ix.data = nil
-	ix.data32 = data
-	ix.n = data.Rows
-	ix.stats.Fits++
-	if ix.p.Exact() || ix.n == 0 {
-		return
-	}
-	ix.stats.Rows += int64(ix.n)
-	fresh := ix.planes == nil || ix.planes.Cols != data.Cols ||
-		ix.snap32 == nil || ix.snap32.Rows != ix.n
+	ix.data, ix.data32 = nil, data
+	hash, fresh := ix.begin(data.Rows, data.Cols)
 	if fresh {
 		// The whitening sample reads ~annSampleTarget rows; widening them
 		// through one reused buffer keeps the transform math — and hence
@@ -308,70 +206,49 @@ func (ix *Index) Fit32(data *dense.Matrix32, workers int) {
 			return buf
 		})
 	}
-	ix.codes = growInt32sAsU32(ix.codes, ix.n)
-	if fresh || ix.p.RefitEps < 0 {
-		ix.proj = dense.Ensure(ix.proj, ix.n, ix.p.Bits)
+	if hash {
 		dense.MulBTMixed32Into(ix.proj, data, ix.planes, workers)
-		par.For(workers, ix.n, ix.p.Bits, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				var c uint32
-				for j, v := range ix.proj.Row(i) {
-					if v-ix.bias[j] >= 0 {
-						c |= 1 << uint(j)
-					}
-				}
-				ix.codes[i] = c
-			}
-		})
-		ix.snap32 = dense.Ensure32(ix.snap32, ix.n, data.Cols)
-		ix.snap32.CopyFrom(data)
-		ix.stats.Recoded += int64(ix.n)
-	} else {
-		ix.refit32(data, workers)
+		ix.encode(workers)
 	}
-	ix.buildBuckets()
-	ix.buildSubs()
 }
 
-// refit32 mirrors refit over float32 rows: movement and re-projection
-// accumulate in float64, and a per-row recode is bit-identical to the
-// batch mixed-precision projection.
-func (ix *Index) refit32(data *dense.Matrix32, workers int) {
-	eps := ix.p.RefitEps
-	if eps == 0 {
-		eps = defaultRefitEps
+// begin counts a fit of an n×d matrix and reports whether its rows are
+// hashed (not on the exact path, not when empty) and whether the hash
+// geometry must be drawn first: on the first hashed fit, and whenever
+// the shape differs from the last hashed fit's. It sizes the n×Bits
+// projection scratch, whose shape records that last fit.
+func (ix *Index) begin(n, d int) (hash, fresh bool) {
+	ix.n = n
+	ix.stats.Fits++
+	if ix.p.Exact() || n == 0 {
+		return false, false
 	}
-	eps2 := eps * eps
-	nbits := ix.p.Bits
-	var recoded atomic.Int64
-	par.For(workers, ix.n, 2*data.Cols*(nbits+1), func(lo, hi int) {
-		var rc int64
+	ix.stats.Rows += int64(n)
+	fresh = ix.planes == nil || ix.planes.Cols != d || ix.proj.Rows != n
+	ix.proj = dense.Ensure(ix.proj, n, ix.p.Bits)
+	return true, fresh
+}
+
+// encode is the one encode-and-bucket step of both tiers: bit j of a
+// row's code is set when its projection clears the j-th centering
+// offset, then the buckets and their second-level tables are rebuilt.
+// The projection kernels are deterministic for every worker count, so
+// the codes are too.
+func (ix *Index) encode(workers int) {
+	ix.codes = growInt32sAsU32(ix.codes, ix.n)
+	par.For(workers, ix.n, ix.p.Bits, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
-			row, old := data.Row(i), ix.snap32.Row(i)
-			var d2, n2 float64
-			for l, v := range row {
-				dl := float64(v) - float64(old[l])
-				d2 += dl * dl
-				n2 += float64(v) * float64(v)
-			}
-			if d2 <= eps2*n2 {
-				continue
-			}
 			var c uint32
-			for j := 0; j < nbits; j++ {
-				if dot32(row, ix.planes.Row(j))-ix.bias[j] >= 0 {
+			for j, v := range ix.proj.Row(i) {
+				if v-ix.bias[j] >= 0 {
 					c |= 1 << uint(j)
 				}
 			}
 			ix.codes[i] = c
-			copy(old, row)
-			rc++
 		}
-		recoded.Add(rc)
 	})
-	rc := recoded.Load()
-	ix.stats.Recoded += rc
-	ix.stats.Reused += int64(ix.n) - rc
+	ix.buildBuckets()
+	ix.buildSubs()
 }
 
 // buildBuckets (re)assembles the CSR buckets from the codes — a stable
@@ -983,8 +860,8 @@ func (h *selHeap) selectRows32(outIdx []int32, outScore []float64, q []float32, 
 
 // dot is the sequential inner product — the exact association the dense
 // kernel uses per cell, which is what makes full-probe results
-// bit-identical to the blocked scan, and a per-row incremental recode
-// bit-identical to the batch projection.
+// bit-identical to the blocked scan, and a query's code bit-identical
+// to the batch projection of an equal fitted row.
 func dot(a, b []float64) float64 {
 	var s float64
 	for i, v := range a {

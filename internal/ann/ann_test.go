@@ -1,6 +1,9 @@
 package ann
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
@@ -94,41 +97,53 @@ func TestHashedFullGatherMatchesBruteForce(t *testing.T) {
 	}
 }
 
-// TestDeterministicAcrossWorkers: worker count is a pure perf knob.
+// TestDeterministicAcrossWorkers: worker count is a pure perf knob, on a
+// single fit and on a loop re-fitting new data into one index (the
+// fine-tuning pattern, every later fit on the geometry frozen at the
+// first).
 func TestDeterministicAcrossWorkers(t *testing.T) {
-	data := randRows(400, 8, 5)
-	queries := randRows(333, 8, 6)
-	run := func(workers int) *Result {
+	single := func(workers int) []*Result {
 		ix := New(Params{Bits: 6, Probes: 12, Seed: 11})
-		ix.Fit(data, workers)
-		return ix.TopK(queries, 10, workers)
+		ix.Fit(randRows(400, 8, 5), workers)
+		return []*Result{ix.TopK(randRows(333, 8, 6), 10, workers)}
 	}
-	base := run(1)
-	for _, w := range []int{2, 3, 8} {
-		got := run(w)
-		if !reflect.DeepEqual(base, got) {
-			t.Fatalf("workers=%d changed the result", w)
+	refit := func(workers int) []*Result {
+		ix := New(Params{Bits: 5, Probes: 8, Seed: 13})
+		var out []*Result
+		for round := int64(0); round < 3; round++ {
+			ix.Fit(randRows(150, 7, 20+round), workers)
+			out = append(out, ix.TopK(randRows(60, 7, 30+round), 6, workers))
+		}
+		return out
+	}
+	for i, run := range []func(int) []*Result{single, refit} {
+		base := run(1)
+		for _, w := range []int{2, 3, 8} {
+			if got := run(w); !reflect.DeepEqual(base, got) {
+				t.Fatalf("input %d: workers=%d changed the result", i, w)
+			}
 		}
 	}
 }
 
-// TestRefitReusesIndex: a loop re-fitting new data into one index (the
-// fine-tuning pattern) must behave exactly like an index that replays
-// the same fit sequence with reuse disabled (RefitEps < 0 recodes every
-// row on every Fit). The hash geometry is frozen at the first Fit either
-// way, so any deviation isolates the incremental-recode machinery.
+// TestRefitReusesIndex: an index re-fitted round after round keeps no
+// state from the rounds in between — each later fit recodes every row on
+// the geometry frozen at the first fit, so it equals a replay that fits
+// the first round's data and then this round's data into a fresh index.
 func TestRefitReusesIndex(t *testing.T) {
 	ix := New(Params{Bits: 5, Probes: 8, Seed: 13})
-	full := New(Params{Bits: 5, Probes: 8, Seed: 13, RefitEps: -1})
+	first := randRows(150, 7, 20)
 	for round := int64(0); round < 3; round++ {
 		data := randRows(150, 7, 20+round)
 		queries := randRows(60, 7, 30+round)
 		ix.Fit(data, 2)
-		full.Fit(data, 1)
+		replay := New(Params{Bits: 5, Probes: 8, Seed: 13})
+		replay.Fit(first, 1)
+		replay.Fit(data, 1)
 		got := ix.TopK(queries, 6, 2)
-		want := full.TopK(queries, 6, 1)
+		want := replay.TopK(queries, 6, 1)
 		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("round %d: reused index deviates from a full-recode replay", round)
+			t.Fatalf("round %d: reused index deviates from a first-fit-then-this-fit replay", round)
 		}
 	}
 }
@@ -217,9 +232,8 @@ func normalizeRow(row []float64) {
 	}
 }
 
-// TestRefitBitStableWhenUnmoved: re-fitting the identical matrix must
-// reuse every row's code and leave results bit-identical — the zero-rows
-// -moved end of the incremental refit.
+// TestRefitBitStableWhenUnmoved: re-fitting the identical matrix onto
+// the frozen geometry must leave results bit-identical.
 func TestRefitBitStableWhenUnmoved(t *testing.T) {
 	data := randRows(500, 8, 17)
 	queries := randRows(120, 8, 18)
@@ -231,71 +245,106 @@ func TestRefitBitStableWhenUnmoved(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Fatal("re-fitting unchanged data changed the results")
 	}
-	st := ix.Stats()
-	if st.Reused != 500 {
-		t.Fatalf("second fit of unchanged data reused %d of 500 rows", st.Reused)
-	}
-	if st.Recoded != 500 {
-		t.Fatalf("recoded %d rows, want 500 (the first fit only)", st.Recoded)
-	}
-	if st.Fits != 2 || st.Rows != 1000 {
+	if st := ix.Stats(); st.Fits != 2 || st.Rows != 1000 {
 		t.Fatalf("stats miscounted fits/rows: %+v", st)
 	}
 }
 
-// TestRefitPartialRecodeMatchesFullRecode is the refit property test:
-// after some rows move far past the epsilon and the rest stay
-// bit-identical, the partially recoded index must match a full-recode
-// replay of the same fit sequence exactly, and the reuse counters must
-// account for precisely the unmoved rows.
-func TestRefitPartialRecodeMatchesFullRecode(t *testing.T) {
-	for _, tc := range []struct {
-		n, d int
-		seed int64
-	}{
-		{300, 8, 21}, {1200, 12, 22}, {700, 5, 23},
-	} {
-		a := randRows(tc.n, tc.d, tc.seed)
-		b := a.Clone()
-		rng := rand.New(rand.NewSource(tc.seed + 100))
-		moved := 0
-		for i := 0; i < tc.n; i++ {
-			if rng.Float64() < 0.3 {
-				row := b.Row(i)
-				for j := range row {
-					row[j] += 0.5 * rng.NormFloat64()
-				}
-				normalizeRow(row)
-				moved++
+// refitInputs is a fit sequence of the fine-tuning shape: fit a, then
+// b, where about 30% of a's rows moved — half of them hard, half by
+// about 1.4%, under the 2% a partial recode once skipped — and the rest
+// are unchanged.
+func refitInputs() (a, b, queries *dense.Matrix) {
+	const n, d = 2000, 8
+	a = randRows(n, d, 61)
+	b = a.Clone()
+	rng := rand.New(rand.NewSource(161))
+	for i := 0; i < n; i++ {
+		if rng.Float64() >= 0.3 {
+			continue
+		}
+		scale := 0.5
+		if rng.Intn(2) == 0 {
+			scale = 0.004
+		}
+		row := b.Row(i)
+		for j := range row {
+			row[j] += scale * rng.NormFloat64()
+		}
+		normalizeRow(row)
+	}
+	return a, b, randRows(200, d, 62)
+}
+
+// to32 narrows a matrix to the float32 tier.
+func to32(m *dense.Matrix) *dense.Matrix32 {
+	out := dense.New32(m.Rows, m.Cols)
+	for i, v := range m.Data {
+		out.Data[i] = float32(v)
+	}
+	return out
+}
+
+// resultDigest is the SHA-256 of every result id (uint32) and every
+// score's float64 bits, little-endian, in row order.
+func resultDigest(rs ...*Result) string {
+	h := sha256.New()
+	var buf [12]byte
+	for _, r := range rs {
+		for i, ids := range r.Idx {
+			for p, id := range ids {
+				binary.LittleEndian.PutUint32(buf[:4], uint32(id))
+				binary.LittleEndian.PutUint64(buf[4:], math.Float64bits(r.Score[i][p]))
+				h.Write(buf[:])
 			}
 		}
-		queries := randRows(150, tc.d, tc.seed+200)
-		inc := New(Params{Bits: 6, Probes: 10, Seed: 29})
-		ref := New(Params{Bits: 6, Probes: 10, Seed: 29, RefitEps: -1})
-		inc.Fit(a, 2)
-		ref.Fit(a, 1)
-		inc.Fit(b, 2)
-		ref.Fit(b, 1)
-		got := inc.TopK(queries, 9, 2)
-		want := ref.TopK(queries, 9, 1)
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("n=%d seed=%d: partial recode deviates from full-recode replay", tc.n, tc.seed)
-		}
-		st := inc.Stats()
-		if st.Reused != int64(tc.n-moved) || st.Recoded != int64(tc.n+moved) {
-			t.Fatalf("n=%d: reused %d recoded %d, want %d / %d",
-				tc.n, st.Reused, st.Recoded, tc.n-moved, tc.n+moved)
-		}
-		if ratio := st.ReuseRatio(); ratio <= 0 {
-			t.Fatalf("reuse ratio = %v, want > 0", ratio)
-		}
+	}
+	return fmt.Sprintf("%x", h.Sum(nil))
+}
+
+// refitParams is the geometry of the pinned-bits tests.
+var refitParams = Params{Bits: 7, Probes: 12, Seed: 37}
+
+// TestRefitPinnedBits pins the float64 tier's fit path: fit a, query,
+// fit b (refitInputs), query again. The digest was computed at commit
+// 83004fa with RefitEps: -1, the setting that recoded every row on every
+// fit, so every fit must still recode every row on the geometry frozen
+// at the first.
+func TestRefitPinnedBits(t *testing.T) {
+	a, b, q := refitInputs()
+	ix := New(refitParams)
+	ix.Fit(a, 2)
+	first := ix.TopK(q, 10, 2)
+	ix.Fit(b, 2)
+	second := ix.TopK(q, 10, 2)
+	const want = "844eeb6b251b548f316012d0764e6987f0bdf4891d63f3001cf34834f1845882"
+	if got := resultDigest(first, second); got != want {
+		t.Fatalf("fit sequence digest %s, want %s", got, want)
 	}
 }
 
-// TestRefitDriftKeepsRecall: the default epsilon lets sub-epsilon drift
-// accumulate stale marginal bits; multi-probe must absorb them. All rows
-// drift slightly, a quarter move hard, and candidate recall against the
-// exact ranking of the *new* data must hold.
+// TestRefitPinnedBits32 is TestRefitPinnedBits on the float32 tier
+// (Fit32/TopK32); its digest, too, was computed at commit 83004fa with
+// RefitEps: -1.
+func TestRefitPinnedBits32(t *testing.T) {
+	a, b, q := refitInputs()
+	q32 := to32(q)
+	ix := New(refitParams)
+	ix.Fit32(to32(a), 2)
+	first := ix.TopK32(q32, 10, 2)
+	ix.Fit32(to32(b), 2)
+	second := ix.TopK32(q32, 10, 2)
+	const want = "5f63a793331bb84f11c0a83feb4237d5d61dfddfa0601f3c2d13a5a23d737fed"
+	if got := resultDigest(first, second); got != want {
+		t.Fatalf("fit sequence digest %s, want %s", got, want)
+	}
+}
+
+// TestRefitDriftKeepsRecall: the hash geometry stays frozen at the
+// first fit while the rows drift away from the data it was drawn for;
+// multi-probe must absorb that. All rows drift slightly, a quarter move
+// hard, and candidate recall against the exact ranking of the *new*
+// data must hold.
 func TestRefitDriftKeepsRecall(t *testing.T) {
 	const n, d, k = 2000, 10, 16
 	a := randRows(n, d, 31)
@@ -316,13 +365,6 @@ func TestRefitDriftKeepsRecall(t *testing.T) {
 	ix := New(Params{Bits: 8, Probes: 128, Seed: 3})
 	ix.Fit(a, 2)
 	ix.Fit(b, 2)
-	st := ix.Stats()
-	if st.Reused == 0 {
-		t.Fatal("sub-epsilon drift should have reused some codes")
-	}
-	if st.Recoded <= n {
-		t.Fatal("hard-moved rows should have been recoded")
-	}
 	got := ix.TopK(queries, k, 2)
 	want := bruteTopK(queries, b, k)
 	if r := recallOf(got, want); r < 0.95 {

@@ -1,12 +1,12 @@
 package ann
 
 // Stats is an index's skew-observability block: how balanced the hash
-// came out, how much work queries did, and how much of the fine-tuning
-// refit work was reused. Fit and TopK accumulate into it; Index.Stats
-// returns a copy, and Merge folds the stats of several indexes (the two
-// directions of a fine-tune loop, the per-orbit runs of a pipeline) into
-// one block. Counter sums are order-independent, so merged totals are
-// deterministic regardless of worker count or merge order.
+// came out and how much work queries did. Fit and TopK accumulate into
+// it; Index.Stats returns a copy, and Merge folds the stats of several
+// indexes (the two directions of a fine-tune loop, the per-orbit runs of
+// a pipeline) into one block. Counter sums are order-independent, so
+// merged totals are deterministic regardless of worker count or merge
+// order.
 type Stats struct {
 	// Fits counts Fit calls; Rows counts rows hashed across them (zero
 	// on the exact path, which skips hashing).
@@ -24,11 +24,6 @@ type Stats struct {
 	// rows (bin 1 = exactly 1 row). A balanced hash concentrates around
 	// the mean-occupancy bin; a skewed one grows a long tail.
 	Occupancy []int64
-	// Reused and Recoded partition the rows of every non-fresh Fit: a
-	// row is reused when it moved less than RefitEps since its last
-	// recode and kept its code. The first Fit recodes everything.
-	Reused  int64
-	Recoded int64
 	// Queries, PoolRows and PoolRowsMax describe query-side work: total
 	// queries answered, total candidate rows gathered for re-ranking,
 	// and the largest single pool. PoolRows/Queries is the mean pool —
@@ -60,8 +55,6 @@ func (s *Stats) Merge(o Stats) {
 			}
 		}
 	}
-	s.Reused += o.Reused
-	s.Recoded += o.Recoded
 	s.Queries += o.Queries
 	s.PoolRows += o.PoolRows
 	if o.PoolRowsMax > s.PoolRowsMax {
@@ -76,14 +69,4 @@ func (s Stats) PoolRowsMean() float64 {
 		return 0
 	}
 	return float64(s.PoolRows) / float64(s.Queries)
-}
-
-// ReuseRatio returns the fraction of fitted rows whose codes were reused
-// instead of recomputed, 0 before any fit hashed rows.
-func (s Stats) ReuseRatio() float64 {
-	total := s.Reused + s.Recoded
-	if total == 0 {
-		return 0
-	}
-	return float64(s.Reused) / float64(total)
 }

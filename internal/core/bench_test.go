@@ -429,14 +429,10 @@ func BenchmarkAlignAnnIngested100K(b *testing.B) {
 				ft = res.Timings.FineTuningBytes
 			}
 			// The mean re-rank pool is the work-per-query series the
-			// snapshot gates; the refit reuse ratio proves the incremental
-			// path engaged across the two fine-tune iterations (rows that
-			// barely moved kept their codes instead of being re-projected);
-			// the fine-tune stage's allocated-bytes delta is the span the
-			// precision tier owns, recorded so the snapshot trajectory
-			// shows where the f32 tier moves memory.
+			// snapshot gates; the fine-tune stage's allocated-bytes delta
+			// is the span the precision tier owns, recorded so the
+			// snapshot trajectory shows where the f32 tier moves memory.
 			b.ReportMetric(st.PoolRowsMean, "pool-rows/op")
-			b.ReportMetric(st.RefitReuseRatio, "refit-reuse/op")
 			b.ReportMetric(float64(ft), "finetune-bytes/op")
 		})
 	}

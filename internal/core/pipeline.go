@@ -125,9 +125,9 @@ type Result struct {
 }
 
 // AnnStats is the JSON-facing summary of an ann run's index statistics
-// (internal/ann.Stats plus the derived ratios): hash balance, query-side
-// pool work and incremental-refit reuse. The server embeds it in align
-// results; the CLIs print it.
+// (internal/ann.Stats plus the derived mean): hash balance and
+// query-side pool work. The server embeds it in align results; the CLIs
+// print it.
 type AnnStats struct {
 	// Fits and RowsHashed count index (re)builds across the run and the
 	// rows hashed by them.
@@ -148,16 +148,13 @@ type AnnStats struct {
 	PoolRows     int64   `json:"pool_rows"`
 	PoolRowsMean float64 `json:"pool_rows_mean"`
 	PoolRowsMax  int     `json:"pool_rows_max"`
-	// RowsReused, RowsRecoded and RefitReuseRatio report incremental
-	// refit: how many row codes survived fine-tune iterations unchanged
-	// versus recomputed, and the reused fraction.
-	RowsReused      int64   `json:"rows_reused"`
-	RowsRecoded     int64   `json:"rows_recoded"`
-	RefitReuseRatio float64 `json:"refit_reuse_ratio"`
+	// RefitReuseRatio is always 0: every fit recodes every row. It is
+	// kept, out of the JSON, only for the benchmark program that reads it.
+	RefitReuseRatio float64 `json:"-"`
 }
 
 // annStatsFrom converts the internal counter block into the JSON form,
-// materialising the derived ratios.
+// materialising the mean pool.
 func annStatsFrom(s ann.Stats) *AnnStats {
 	return &AnnStats{
 		Fits:            s.Fits,
@@ -170,9 +167,6 @@ func annStatsFrom(s ann.Stats) *AnnStats {
 		PoolRows:        s.PoolRows,
 		PoolRowsMean:    s.PoolRowsMean(),
 		PoolRowsMax:     s.PoolRowsMax,
-		RowsReused:      s.Reused,
-		RowsRecoded:     s.Recoded,
-		RefitReuseRatio: s.ReuseRatio(),
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"strconv"
@@ -115,14 +116,13 @@ func (jsonFormat) Detect(head []byte) bool {
 }
 
 func (jsonFormat) Read(r io.Reader, opts Options) (*Loaded, error) {
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
 	var spec GraphSpec
-	if err := dec.Decode(&spec); err != nil {
+	if err := DecodeStrict(r, &spec); err != nil {
+		var trailing *TrailingDataError
+		if errors.As(err, &trailing) {
+			return nil, fmt.Errorf("ingest: json: trailing data after graph document, near byte %d", trailing.Offset)
+		}
 		return nil, fmt.Errorf("ingest: json: %w", err)
-	}
-	if _, err := dec.Token(); err != io.EOF {
-		return nil, fmt.Errorf("ingest: json: trailing data after graph document, near byte %d", dec.InputOffset())
 	}
 	if opts.MaxEdges > 0 && len(spec.Edges) > opts.MaxEdges {
 		return nil, fmt.Errorf("ingest: json: %d edges, limit is %d", len(spec.Edges), opts.MaxEdges)
@@ -146,6 +146,31 @@ func (jsonFormat) Write(w io.Writer, g *graph.Graph, nodes *NodeMap) error {
 	blob = append(blob, '\n')
 	_, err = w.Write(blob)
 	return err
+}
+
+// DecodeStrict decodes exactly one JSON value from r into v. An unknown
+// object field is an error, and so is anything but whitespace after the
+// value: a *TrailingDataError. Decode errors come back unwrapped, so
+// errors.As still finds the reader's own, such as the
+// *http.MaxBytesError of an oversized request body.
+func DecodeStrict(r io.Reader, v any) error {
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return &TrailingDataError{Offset: dec.InputOffset()}
+	}
+	return nil
+}
+
+// TrailingDataError reports data after the one JSON value DecodeStrict
+// accepts. Offset is the decoder's input offset once it read past it.
+type TrailingDataError struct{ Offset int64 }
+
+func (e *TrailingDataError) Error() string {
+	return fmt.Sprintf("trailing data after the JSON document, near byte %d", e.Offset)
 }
 
 // ---------------------------------------------------------------- edgelist

@@ -151,13 +151,8 @@ func (r *AlignRequest) validate(maxNodes int, store *lru[string, *storedDataset]
 			return err
 		}
 	}
-	for _, q := range r.HitsAt {
-		if q < 1 {
-			return fmt.Errorf("hits_at cutoffs must be ≥ 1, got %d", q)
-		}
-	}
-	if len(r.HitsAt) > 16 {
-		return fmt.Errorf("at most 16 hits_at cutoffs, got %d", len(r.HitsAt))
+	if err := validateHitsAt(r.HitsAt); err != nil {
+		return err
 	}
 	if err := validateSimilarity(r.Config, r.builtPair); err != nil {
 		return err
@@ -279,6 +274,20 @@ func (r *AlignRequest) singleRequest(cfg core.Config) *AlignRequest {
 // the default when the request names none.
 func (r *AlignRequest) cutoffs() []int { return sortedCutoffs(r.HitsAt) }
 
+// validateHitsAt checks a hits_at list, the one cutoff rule /v1/align
+// and /v1/refine share: every cutoff ≥ 1, at most 16 of them.
+func validateHitsAt(hitsAt []int) error {
+	for _, q := range hitsAt {
+		if q < 1 {
+			return fmt.Errorf("hits_at cutoffs must be ≥ 1, got %d", q)
+		}
+	}
+	if len(hitsAt) > 16 {
+		return fmt.Errorf("at most 16 hits_at cutoffs, got %d", len(hitsAt))
+	}
+	return nil
+}
+
 // sortedCutoffs normalises a hits_at list — sorted, deduplicated,
 // defaulting to 1/5/10 — the one cutoff policy /v1/align and /v1/refine
 // share.
@@ -397,8 +406,8 @@ type AlignResult struct {
 	// ann run (absent when unbounded, and on dense and topk runs).
 	AnnPoolCap int `json:"ann_pool_cap,omitempty"`
 	// Ann is the skew-observability block of an ann run: hash balance
-	// (bucket occupancy, re-hashed hot buckets), per-query pool work and
-	// incremental-refit reuse. Absent on dense and topk runs.
+	// (bucket occupancy, re-hashed hot buckets) and per-query pool work.
+	// Absent on dense and topk runs.
 	Ann *core.AnnStats `json:"ann_stats,omitempty"`
 	// Cached reports that the result was served from the content-hash
 	// cache rather than recomputed.

@@ -49,11 +49,8 @@ type Metrics struct {
 	// SimAnnPoolRows accumulates the candidate rows ANN runs gathered for
 	// exact re-ranking — the work-per-query series; divided by queries it
 	// exposes skew (a balanced hash keeps the mean pool near k, hot
-	// buckets inflate it). SimAnnRefitReuse accumulates the rows whose
-	// hash codes survived a fine-tune refit unchanged — the incremental
-	// refit win.
-	SimAnnPoolRows   atomic.Int64
-	SimAnnRefitReuse atomic.Int64
+	// buckets inflate it).
+	SimAnnPoolRows atomic.Int64
 	// SimF32Runs counts completed pipeline runs whose fine-tune similarity
 	// ran on the float32 compute tier (explicit precision=f32 and auto
 	// configs that resolved there alike), so operators can see how much
@@ -81,7 +78,6 @@ func (m *Metrics) recordBackend(res *core.Result) {
 		}
 		if res.Ann != nil {
 			m.SimAnnPoolRows.Add(res.Ann.PoolRows)
-			m.SimAnnRefitReuse.Add(res.Ann.RowsReused)
 		}
 	case "topk":
 		m.SimTopKRuns.Add(1)
@@ -120,7 +116,6 @@ func (m *Metrics) writePrometheus(w io.Writer, extras map[string]float64) {
 	counter("htc_sim_ann_runs_total", "Pipeline runs that used the approximate (LSH) similarity backend.", m.SimAnnRuns.Load())
 	counter("htc_sim_ann_exact_runs_total", "ANN runs whose probe budget covered every bucket (exactness escape hatch).", m.SimAnnExactRuns.Load())
 	counter("htc_sim_ann_pool_rows", "Candidate rows gathered for exact re-ranking across ANN runs.", m.SimAnnPoolRows.Load())
-	counter("htc_sim_ann_refit_reuse_total", "Rows whose hash codes were reused across fine-tune refits in ANN runs.", m.SimAnnRefitReuse.Load())
 	counter("htc_sim_f32_runs_total", "Pipeline runs whose fine-tune similarity ran on the float32 tier.", m.SimF32Runs.Load())
 	counter("htc_refine_runs_total", "POST /v1/refine executions (cache hits excluded).", m.RefineRuns.Load())
 	counter("htc_refine_iters_total", "RefiNA iterations run on behalf of /v1/refine requests.", m.RefineIterations.Load())

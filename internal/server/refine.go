@@ -11,7 +11,6 @@ import (
 
 	"github.com/htc-align/htc/internal/align"
 	"github.com/htc-align/htc/internal/datasets"
-	"github.com/htc-align/htc/internal/metrics"
 	"github.com/htc-align/htc/internal/refine"
 )
 
@@ -75,15 +74,7 @@ func (r *RefineRequest) validate() error {
 	if r.RefineTokenK < 0 {
 		return fmt.Errorf("refine_token_k = %d (want 0 for the automatic budget, or ≥ 1)", r.RefineTokenK)
 	}
-	for _, q := range r.HitsAt {
-		if q < 1 {
-			return fmt.Errorf("hits_at cutoffs must be ≥ 1, got %d", q)
-		}
-	}
-	if len(r.HitsAt) > 16 {
-		return fmt.Errorf("at most 16 hits_at cutoffs, got %d", len(r.HitsAt))
-	}
-	return nil
+	return validateHitsAt(r.HitsAt)
 }
 
 // iters resolves the requested iteration count.
@@ -229,26 +220,10 @@ func (s *Server) handleRefine(w http.ResponseWriter, r *http.Request) {
 		RefineMS:    float64(time.Since(start)) / float64(time.Millisecond),
 		WorkersUsed: workers,
 	}
-	refined := align.GreedyMatchSim(res.Sim)
-	out.Pairs = make([][2]int, 0, len(refined))
-	for src, tgt := range refined {
-		if tgt >= 0 {
-			out.Pairs = append(out.Pairs, [2]int{src, tgt})
-		}
-	}
-	if pair.SourceIDs != nil && pair.TargetIDs != nil &&
-		!(pair.SourceIDs.IsIdentity() && pair.TargetIDs.IsIdentity()) {
-		out.PairsNamed = make([][2]string, len(out.Pairs))
-		for i, p := range out.Pairs {
-			out.PairsNamed[i] = [2]string{pair.SourceIDs.ID(p[0]), pair.TargetIDs.ID(p[1])}
-		}
-	}
-	if truth := pair.Truth; truth.NumAnchors() > 0 {
-		before := metrics.EvaluateSim(sim, truth, qs...)
-		after := metrics.EvaluateSim(res.Sim, truth, qs...)
-		out.EvalBefore = &EvalReport{PrecisionAt: before.PrecisionAt, MRR: before.MRR, Anchors: before.Anchors}
-		out.EvalAfter = &EvalReport{PrecisionAt: after.PrecisionAt, MRR: after.MRR, Anchors: after.Anchors}
-	}
+	out.Pairs = matchPairs(align.GreedyMatchSim(res.Sim))
+	out.PairsNamed = namedPairs(out.Pairs, pair)
+	out.EvalBefore = evalReport(sim, pair.Truth, qs)
+	out.EvalAfter = evalReport(res.Sim, pair.Truth, qs)
 	s.refines.put(key, *out)
 	if s.opts.Log != nil {
 		s.opts.Log.Printf("refine (%s) ran %d iters in %.0fms (%d pairs)", input, iters, out.RefineMS, len(out.Pairs))

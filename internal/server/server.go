@@ -5,12 +5,12 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"log"
 	"net/http"
 	"runtime"
 	"time"
 
+	"github.com/htc-align/htc/internal/align"
 	"github.com/htc-align/htc/internal/core"
 	"github.com/htc-align/htc/internal/datasets"
 	"github.com/htc-align/htc/internal/ingest"
@@ -343,9 +343,8 @@ func (s *Server) preparedFor(ctx context.Context, pair *datasets.Pair, cfg core.
 // score consumer goes through the result's Sim, so top-k jobs never
 // materialise a dense matrix inside the server either.
 func buildResult(res *core.Result, pair *datasets.Pair, qs []int) *AlignResult {
-	match := res.MatchOneToOne()
 	out := &AlignResult{
-		Pairs:         make([][2]int, 0, len(match)),
+		Pairs:         matchPairs(res.MatchOneToOne()),
 		PerOrbit:      make([]OrbitReport, len(res.PerOrbit)),
 		TimingsMS:     stageMS(res.Timings),
 		EpochsTrained: len(res.LossHistory),
@@ -358,38 +357,55 @@ func buildResult(res *core.Result, pair *datasets.Pair, qs []int) *AlignResult {
 		AnnPoolCap:    res.AnnPoolCap,
 		Ann:           res.Ann,
 	}
-	for src, tgt := range match {
-		if tgt >= 0 {
-			out.Pairs = append(out.Pairs, [2]int{src, tgt})
-		}
-	}
-	// Real datasets key their nodes by external ids; mirror the matching
-	// through the pair's dictionaries so clients read predictions back by
-	// name. Identity dictionaries (synthetic pairs, plain inline specs)
-	// would only repeat the indices, so they stay index-only.
-	if pair.SourceIDs != nil && pair.TargetIDs != nil &&
-		!(pair.SourceIDs.IsIdentity() && pair.TargetIDs.IsIdentity()) {
-		out.PairsNamed = make([][2]string, len(out.Pairs))
-		for i, p := range out.Pairs {
-			out.PairsNamed[i] = [2]string{pair.SourceIDs.ID(p[0]), pair.TargetIDs.ID(p[1])}
-		}
-	}
+	out.PairsNamed = namedPairs(out.Pairs, pair)
 	for i, o := range res.PerOrbit {
 		out.PerOrbit[i] = OrbitReport{Orbit: o.Orbit, Trusted: o.Trusted, Gamma: o.Gamma, Iters: o.Iters}
 	}
-	if truth := pair.Truth; truth.NumAnchors() > 0 {
-		rep := metrics.EvaluateSim(res.Sim, truth, qs...)
-		out.Eval = &EvalReport{PrecisionAt: rep.PrecisionAt, MRR: rep.MRR, Anchors: rep.Anchors}
-	}
+	out.Eval = evalReport(res.Sim, pair.Truth, qs)
 	if res.PreRefineSim != nil {
 		out.RefineMNC = res.RefineMNC
 		out.RefineTokenK = res.RefineTokenK
-		if truth := pair.Truth; truth.NumAnchors() > 0 {
-			rep := metrics.EvaluateSim(res.PreRefineSim, truth, qs...)
-			out.EvalPreRefine = &EvalReport{PrecisionAt: rep.PrecisionAt, MRR: rep.MRR, Anchors: rep.Anchors}
-		}
+		out.EvalPreRefine = evalReport(res.PreRefineSim, pair.Truth, qs)
 	}
 	return out
+}
+
+// matchPairs lists a matching's (source node, target node) index pairs
+// in source order, skipping unmatched sources.
+func matchPairs(match []int) [][2]int {
+	pairs := make([][2]int, 0, len(match))
+	for src, tgt := range match {
+		if tgt >= 0 {
+			pairs = append(pairs, [2]int{src, tgt})
+		}
+	}
+	return pairs
+}
+
+// namedPairs mirrors index pairs through the pair's external node ids,
+// so clients of real datasets read predictions back by name. Identity
+// dictionaries (synthetic pairs, plain inline specs) would only repeat
+// the indices, so they give nil and the payload stays index-only.
+func namedPairs(pairs [][2]int, pair *datasets.Pair) [][2]string {
+	if pair.SourceIDs == nil || pair.TargetIDs == nil ||
+		(pair.SourceIDs.IsIdentity() && pair.TargetIDs.IsIdentity()) {
+		return nil
+	}
+	named := make([][2]string, len(pairs))
+	for i, p := range pairs {
+		named[i] = [2]string{pair.SourceIDs.ID(p[0]), pair.TargetIDs.ID(p[1])}
+	}
+	return named
+}
+
+// evalReport scores sim against the pair's ground truth at the cutoffs
+// qs; nil when the pair has no anchors.
+func evalReport(sim align.Sim, truth metrics.Truth, qs []int) *EvalReport {
+	if truth.NumAnchors() == 0 {
+		return nil
+	}
+	rep := metrics.EvaluateSim(sim, truth, qs...)
+	return &EvalReport{PrecisionAt: rep.PrecisionAt, MRR: rep.MRR, Anchors: rep.Anchors}
 }
 
 // decodeBody decodes a JSON request body into v: a body over the size
@@ -397,22 +413,20 @@ func buildResult(res *core.Result, pair *datasets.Pair, qs []int) *AlignResult {
 // first JSON value is a 400. A false return means the error response was
 // already written.
 func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.opts.MaxBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			writeError(w, http.StatusRequestEntityTooLarge, fmt.Sprintf("body exceeds %d bytes", tooLarge.Limit))
-			return false
-		}
-		writeError(w, http.StatusBadRequest, "malformed JSON: "+err.Error())
-		return false
-	}
-	if _, err := dec.Token(); err != io.EOF {
+	err := ingest.DecodeStrict(http.MaxBytesReader(w, r.Body, s.opts.MaxBodyBytes), v)
+	var tooLarge *http.MaxBytesError
+	var trailing *ingest.TrailingDataError
+	switch {
+	case err == nil:
+		return true
+	case errors.As(err, &tooLarge):
+		writeError(w, http.StatusRequestEntityTooLarge, fmt.Sprintf("body exceeds %d bytes", tooLarge.Limit))
+	case errors.As(err, &trailing):
 		writeError(w, http.StatusBadRequest, "trailing data after request body")
-		return false
+	default:
+		writeError(w, http.StatusBadRequest, "malformed JSON: "+err.Error())
 	}
-	return true
+	return false
 }
 
 // decodeRequest parses and validates a submission body; a nil return

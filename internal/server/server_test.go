@@ -263,6 +263,21 @@ func TestTrailingDataRejected(t *testing.T) {
 	}
 }
 
+// TestOversizedBodyRejected: a body over Options.MaxBodyBytes is a 413,
+// not a malformed-JSON 400, however far the decoder got.
+func TestOversizedBodyRejected(t *testing.T) {
+	ts := newTestServer(t, Options{Workers: 1, MaxBodyBytes: 64})
+	body := `{"dataset":"synthetic","n":30,"config":{"variant":"HTC-L","epochs":1,"hidden":4,"embed":2}}`
+	code, blob := doJSON(t, ts, http.MethodPost, "/v1/align", body)
+	var env ErrorBody
+	if err := json.Unmarshal(blob, &env); err != nil {
+		t.Fatalf("decoding %s: %v", blob, err)
+	}
+	if code != http.StatusRequestEntityTooLarge || env.Error.Message != "body exceeds 64 bytes" {
+		t.Fatalf("%d %+v, want 413 \"body exceeds 64 bytes\"", code, env.Error)
+	}
+}
+
 func TestCancelViaHTTP(t *testing.T) {
 	ts := newTestServer(t, Options{Workers: 1})
 

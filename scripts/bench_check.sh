@@ -1,26 +1,23 @@
 #!/usr/bin/env sh
 # Compare a fresh benchmark snapshot against a checked-in baseline and fail
-# when any shared benchmark regressed beyond the allowed factor — in time
-# (ns/op), in allocated memory (B/op), or in allocation count (allocs/op).
+# when any shared series regressed beyond its allowed factor.
 #
-# Usage: scripts/bench_check.sh baseline.json fresh.json [max-factor] [max-bytes-factor] [max-allocs-factor] [max-pool-factor]
+# Usage: scripts/bench_check.sh baseline.json fresh.json [time-factor] [series-factor]
 #
-# Benchmarks are matched by name; entries present in only one file are
-# ignored (new benchmarks don't fail the gate), and the bytes/allocs gates
-# only fire when both snapshots recorded the series. The default time
-# factor of 2 is deliberately loose: snapshots are single-iteration smoke
-# timings, and the gate exists to catch order-of-magnitude mistakes (an
-# accidentally serial kernel, a reintroduced dense path), not
-# percent-level noise. Allocated bytes and allocation counts are
-# deterministic-ish, so their default factor is tighter (1.5) — a dense
-# ns×nt matrix sneaking back into the top-k path multiplies B/op far
-# beyond that, and a per-row (instead of per-block) scratch allocation
-# multiplies allocs/op the same way. The pool-rows series (mean candidate
-# rows the ANN backend re-ranks per query, recorded by the skew-adversarial
-# and 100K ingestion benchmarks) is gated at the same tightness: it is
-# fully deterministic for a fixed seed, and a balanced hash silently
-# degrading to skewed buckets multiplies it well beyond 1.5 long before
-# wall-clock noise would catch the regression. Two extra gates compare
+# Benchmarks are matched by name and series by key: every "*_per_op" key
+# that both snapshots carry for a benchmark is compared, and anything
+# present in only one file is ignored (new benchmarks and new series don't
+# fail the gate). ns_per_op is held to the time factor, default 2 and
+# deliberately loose: snapshots are single-iteration smoke timings, and the
+# gate exists to catch order-of-magnitude mistakes (an accidentally serial
+# kernel, a reintroduced dense path), not percent-level noise. Every other
+# series is deterministic-ish and held to the series factor, default 1.5:
+# a dense ns×nt matrix sneaking back into the top-k path multiplies B/op
+# (bytes_per_op, and finetune_bytes_per_op for the fine-tune stage alone)
+# far beyond it, a per-row instead of per-block scratch allocation
+# multiplies allocs/op, and a balanced ANN hash degrading to skewed
+# buckets multiplies pool_rows_per_op (the mean rows re-ranked per query)
+# long before wall-clock noise would catch it. Two extra gates compare
 # series within the fresh snapshot itself: the f32 tier of the 100K
 # ingestion benchmark must allocate ≤ 0.97× of its f64 twin in the
 # fine-tune stage (the span the precision tier owns) and never more
@@ -30,82 +27,53 @@ set -eu
 baseline=$1
 fresh=$2
 factor=${3:-2.0}
-bytes_factor=${4:-1.5}
-allocs_factor=${5:-1.5}
-pool_factor=${6:-1.5}
+series_factor=${4:-1.5}
 
-# Extract "name ns_per_op bytes_per_op allocs_per_op" tuples from the
-# snapshot JSON (one benchmark per line, as produced by bench_snapshot.sh;
-# a missing series becomes "-"). The -GOMAXPROCS suffix Go appends on
-# multi-core hosts is stripped again here, so snapshots taken before that
-# normalisation (or hand-edited) still match by name.
+# Extract one "name key value" line per *_per_op series from the snapshot
+# JSON (one benchmark per line, as produced by bench_snapshot.sh). The
+# -GOMAXPROCS suffix Go appends on multi-core hosts is stripped again
+# here, so snapshots taken before that normalisation (or hand-edited)
+# still match by name.
 extract() {
 	tr ',' '\n' < "$1" | awk '
-		/"name"/ {
-			if (name != "") print name, ns, bytes, allocs, pool, ft
-			gsub(/.*"name": "|"/, ""); sub(/-[0-9]+$/, "")
-			name = $0; ns = "-"; bytes = "-"; allocs = "-"; pool = "-"; ft = "-"
-		}
-		/"ns_per_op"/       { gsub(/.*"ns_per_op": |}.*/, "");       ns = $0 }
-		/"bytes_per_op"/    { gsub(/.*"bytes_per_op": |}.*/, "");    bytes = $0 }
-		/"allocs_per_op"/   { gsub(/.*"allocs_per_op": |}.*/, "");   allocs = $0 }
-		/"pool_rows_per_op"/ { gsub(/.*"pool_rows_per_op": |}.*/, ""); pool = $0 }
-		/"finetune_bytes_per_op"/ { gsub(/.*"finetune_bytes_per_op": |}.*/, ""); ft = $0 }
-		END { if (name != "") print name, ns, bytes, allocs, pool, ft }'
+		/"name"/ { gsub(/.*"name": "|"/, ""); sub(/-[0-9]+$/, ""); name = $0; next }
+		name != "" && /"[a-z0-9_]+_per_op":/ {
+			key = $0; sub(/^[^"]*"/, "", key); sub(/".*/, "", key)
+			val = $0; sub(/.*: */, "", val); sub(/[]} ].*/, "", val)
+			print name, key, val
+		}'
 }
 
-extract "$baseline" | sort > /tmp/bench_base.$$
-extract "$fresh" | sort > /tmp/bench_fresh.$$
+base=$(mktemp)
+new=$(mktemp)
+trap 'rm -f "$base" "$new"' EXIT
+extract "$baseline" | sort > "$base"
+extract "$fresh" | sort > "$new"
 
 fail=0
-compared=0
-while read -r name base basebytes baseallocs basepool baseft; do
-	line=$(awk -v n="$name" '$1 == n { print $2, $3, $4, $5 }' /tmp/bench_fresh.$$)
-	[ -z "$line" ] && continue
-	set -- $line
-	new=$1
-	newbytes=$2
-	newallocs=$3
-	newpool=$4
-	compared=$((compared + 1))
-	worse=$(awk -v b="$base" -v n="$new" -v f="$factor" 'BEGIN { print (n > b * f) ? 1 : 0 }')
-	if [ "$worse" = 1 ]; then
-		echo "REGRESSION: $name ${base}ns -> ${new}ns (allowed factor $factor)" >&2
-		fail=1
-	else
-		echo "ok: $name ${base}ns -> ${new}ns"
-	fi
-	# Allocated-bytes gate: only when both snapshots carry the series.
-	if [ "$basebytes" != "-" ] && [ "$newbytes" != "-" ]; then
-		worse=$(awk -v b="$basebytes" -v n="$newbytes" -v f="$bytes_factor" 'BEGIN { print (n > b * f) ? 1 : 0 }')
-		if [ "$worse" = 1 ]; then
-			echo "REGRESSION: $name ${basebytes}B/op -> ${newbytes}B/op (allowed factor $bytes_factor)" >&2
-			fail=1
-		else
-			echo "ok: $name ${basebytes}B/op -> ${newbytes}B/op"
-		fi
-	fi
-	# Allocation-count gate, same contract as the bytes gate.
-	if [ "$baseallocs" != "-" ] && [ "$newallocs" != "-" ]; then
-		worse=$(awk -v b="$baseallocs" -v n="$newallocs" -v f="$allocs_factor" 'BEGIN { print (n > b * f) ? 1 : 0 }')
-		if [ "$worse" = 1 ]; then
-			echo "REGRESSION: $name ${baseallocs}allocs/op -> ${newallocs}allocs/op (allowed factor $allocs_factor)" >&2
-			fail=1
-		else
-			echo "ok: $name ${baseallocs}allocs/op -> ${newallocs}allocs/op"
-		fi
-	fi
-	# Pool-rows gate: the ANN skew signal, same contract as the bytes gate.
-	if [ "$basepool" != "-" ] && [ "$newpool" != "-" ]; then
-		worse=$(awk -v b="$basepool" -v n="$newpool" -v f="$pool_factor" 'BEGIN { print (n > b * f) ? 1 : 0 }')
-		if [ "$worse" = 1 ]; then
-			echo "REGRESSION: $name ${basepool}pool-rows/op -> ${newpool}pool-rows/op (allowed factor $pool_factor)" >&2
-			fail=1
-		else
-			echo "ok: $name ${basepool}pool-rows/op -> ${newpool}pool-rows/op"
-		fi
-	fi
-done < /tmp/bench_base.$$
+awk -v tf="$factor" -v sf="$series_factor" '
+	NR == FNR { fresh[$1, $2] = $3; next }
+	($1, $2) in fresh {
+		f = ($2 == "ns_per_op") ? tf : sf
+		n = fresh[$1, $2]
+		compared++
+		if (n + 0 > $3 * f) {
+			printf "REGRESSION: %s %s %s -> %s (allowed factor %s)\n", $1, $2, $3, n, f > "/dev/stderr"
+			bad = 1
+		} else {
+			printf "ok: %s %s %s -> %s\n", $1, $2, $3, n
+		}
+	}
+	END {
+		# A gate that compared nothing protects nothing — treat it as a
+		# failure (renamed benchmarks must update the checked-in baseline
+		# alongside).
+		if (compared == 0) {
+			print "ERROR: no benchmarks in common between the two snapshots" > "/dev/stderr"
+			bad = 1
+		}
+		exit bad
+	}' "$new" "$base" || fail=1
 
 # Precision-tier gates: the float32 tier of the 100K ingestion benchmark
 # must deliver its memory win against the f64 series of the SAME fresh
@@ -122,41 +90,27 @@ done < /tmp/bench_base.$$
 # precision-independent candidate-list bulk — and the whole-benchmark
 # bytes may never exceed f64 at all: a widening copy sneaking into the
 # f32 path shows up there first.
-f64line=$(awk '$1 == "BenchmarkAlignAnnIngested100K/f64" { print $3, $6 }' /tmp/bench_fresh.$$)
-f32line=$(awk '$1 == "BenchmarkAlignAnnIngested100K/f32" { print $3, $6 }' /tmp/bench_fresh.$$)
-if [ -n "$f64line" ] && [ -n "$f32line" ]; then
-	set -- $f64line
-	f64bytes=$1
-	f64ft=$2
-	set -- $f32line
-	f32bytes=$1
-	f32ft=$2
-	if [ "$f64ft" != "-" ] && [ "$f32ft" != "-" ]; then
-		worse=$(awk -v b="$f64ft" -v n="$f32ft" 'BEGIN { print (n > b * 0.97) ? 1 : 0 }')
-		if [ "$worse" = 1 ]; then
-			echo "REGRESSION: AlignAnnIngested100K/f32 fine-tune ${f32ft}B not <= 0.97x the f64 series (${f64ft}B)" >&2
-			fail=1
-		else
-			echo "ok: AlignAnnIngested100K/f32 fine-tune ${f32ft}B <= 0.97x f64 (${f64ft}B)"
-		fi
-	fi
-	if [ "$f64bytes" != "-" ] && [ "$f32bytes" != "-" ]; then
-		worse=$(awk -v b="$f64bytes" -v n="$f32bytes" 'BEGIN { print (n > b) ? 1 : 0 }')
-		if [ "$worse" = 1 ]; then
-			echo "REGRESSION: AlignAnnIngested100K/f32 ${f32bytes}B/op exceeds the f64 series (${f64bytes}B/op)" >&2
-			fail=1
-		else
-			echo "ok: AlignAnnIngested100K/f32 ${f32bytes}B/op <= f64 (${f64bytes}B/op)"
-		fi
+series() { awk -v n="BenchmarkAlignAnnIngested100K/$1" -v k="$2" '$1 == n && $2 == k { print $3 }' "$new"; }
+f64ft=$(series f64 finetune_bytes_per_op)
+f32ft=$(series f32 finetune_bytes_per_op)
+if [ -n "$f64ft" ] && [ -n "$f32ft" ]; then
+	worse=$(awk -v b="$f64ft" -v n="$f32ft" 'BEGIN { print (n > b * 0.97) ? 1 : 0 }')
+	if [ "$worse" = 1 ]; then
+		echo "REGRESSION: AlignAnnIngested100K/f32 fine-tune ${f32ft}B not <= 0.97x the f64 series (${f64ft}B)" >&2
+		fail=1
+	else
+		echo "ok: AlignAnnIngested100K/f32 fine-tune ${f32ft}B <= 0.97x f64 (${f64ft}B)"
 	fi
 fi
-
-rm -f /tmp/bench_base.$$ /tmp/bench_fresh.$$
-
-# A gate that compared nothing protects nothing — treat it as a failure
-# (renamed benchmarks must update the checked-in baseline alongside).
-if [ "$compared" = 0 ]; then
-	echo "ERROR: no benchmarks in common between $baseline and $fresh" >&2
-	fail=1
+f64bytes=$(series f64 bytes_per_op)
+f32bytes=$(series f32 bytes_per_op)
+if [ -n "$f64bytes" ] && [ -n "$f32bytes" ]; then
+	worse=$(awk -v b="$f64bytes" -v n="$f32bytes" 'BEGIN { print (n > b) ? 1 : 0 }')
+	if [ "$worse" = 1 ]; then
+		echo "REGRESSION: AlignAnnIngested100K/f32 ${f32bytes}B/op exceeds the f64 series (${f64bytes}B/op)" >&2
+		fail=1
+	else
+		echo "ok: AlignAnnIngested100K/f32 ${f32bytes}B/op <= f64 (${f64bytes}B/op)"
+	fi
 fi
 exit $fail

@@ -56,12 +56,8 @@ BEGIN {
 		if ($(i+1) == "B/op")      printf ", \"bytes_per_op\": %s", $i
 		if ($(i+1) == "allocs/op") printf ", \"allocs_per_op\": %s", $i
 		# Custom ReportMetric series of the ANN benchmarks: mean re-rank
-		# pool rows per query (the bucket-skew signal the gate watches)
-		# and the incremental-refit reuse ratio (recorded for trend
-		# reading; near-zero reuse is legitimate on fast-moving
-		# embeddings, so it is not gated).
-		if ($(i+1) == "pool-rows/op")   printf ", \"pool_rows_per_op\": %s", $i
-		if ($(i+1) == "refit-reuse/op") printf ", \"refit_reuse_per_op\": %s", $i
+		# pool rows per query (the bucket-skew signal the gate watches).
+		if ($(i+1) == "pool-rows/op") printf ", \"pool_rows_per_op\": %s", $i
 		# Fine-tune stage allocated bytes (from the per-stage pipeline
 		# decomposition): the span the float32 precision tier owns,
 		# recorded per tier so the trajectory localises memory changes.
