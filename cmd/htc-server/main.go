@@ -15,6 +15,8 @@
 //	                         graphs plus a config
 //	POST   /v1/sweep         run a list of configs over one shared prepared
 //	                         pair (stages 1–2 paid once for the whole sweep)
+//	POST   /v1/refine        RefiNA-refine a finished job's or an uploaded
+//	                         matching
 //	GET    /v1/jobs/{id}     poll status; queue position while waiting, live
 //	                         progress while running, the result once done
 //	DELETE /v1/jobs/{id}     cancel a queued or running job
@@ -23,6 +25,8 @@
 //	GET    /v1/datasets      list built-in and uploaded datasets
 //	GET    /v1/datasets/{id} uploaded dataset metadata
 //	DELETE /v1/datasets/{id} remove an uploaded dataset
+//	GET    /v1/capabilities  feature roster: backends, formats, variants,
+//	                         limits
 //	GET    /v1/healthz       liveness and queue occupancy
 //	GET    /v1/metrics       Prometheus text metrics
 //

@@ -7,10 +7,12 @@
 // compiler enforces: a `workers int` parameter must actually reach the
 // parallel stage it budgets, map iteration must never feed
 // order-sensitive accumulation, every `core.Config` knob must be
-// validated and cache-keyed, and every metrics counter must be both
-// exposed and incremented. Each rule here has shipped at least one real
-// bug (PR 7's ANNCandidates ran serial because its workers argument was
-// silently dropped), so they are checked by machine, not review.
+// validated and cache-keyed, and every `metric`-tagged collector must
+// name an htc_-prefixed series and be incremented somewhere (the
+// rendering walks the tagged fields, so exposure needs no check). Each
+// rule here has shipped at least one real bug (ANNCandidates once ran
+// serial because its workers argument was silently dropped), so they
+// are checked by machine, not review.
 //
 // The package deliberately mirrors the golang.org/x/tools/go/analysis
 // vocabulary — Analyzer, Pass, Diagnostic, analysistest-style fixtures

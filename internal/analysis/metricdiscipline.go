@@ -2,141 +2,78 @@ package analysis
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
-	"regexp"
+	"reflect"
 	"strconv"
 	"strings"
 )
 
 // Metricdiscipline enforces the observability contract on the
-// hand-rolled Prometheus layer: every collector — a sync/atomic counter
-// field on a metrics struct — must be (a) incremented somewhere, or it
-// forever exports zero and dashboards silently flatline; (b) exposed in
-// the Prometheus rendering, or operators cannot see it at all; and
-// (c) exported under a name carrying the htc_ prefix, so this service's
-// series never collide with another job's in a shared Prometheus.
-//
-// "Exposed" is recognised structurally: a call whose arguments include
-// both a string literal (the metric name/help text) and a Load() of the
-// field — the shape of both the counter(...) helper and a direct
-// fmt.Fprintf rendering.
+// Prometheus layer. A collector is a struct field tagged
+// `metric:"<series name>"`, and the rendering walks those fields, so
+// every collector is exposed by construction. Two rules still need a
+// static pass: the series name must carry the htc_ prefix, so this
+// service's series never collide with another job's in a shared
+// Prometheus; and the field must be incremented (Add, or Store for
+// gauges) somewhere, or it forever exports zero and dashboards silently
+// flatline.
 var Metricdiscipline = &Analyzer{
 	Name: "metricdiscipline",
-	Doc: "atomic metrics counters must carry the htc_ prefix and be both " +
-		"exposed in the Prometheus rendering and incremented somewhere",
+	Doc: "metric-tagged collector fields must name an htc_-prefixed series " +
+		"and be incremented (Add or Store) somewhere",
 	Run: runMetricdiscipline,
 }
 
-// metricNameRE matches a Prometheus series name token inside a string
-// literal.
-var metricNameRE = regexp.MustCompile(`[a-zA-Z_:][a-zA-Z0-9_:]*`)
+// A collector is a metric-tagged field and the series name its tag gives.
+type collector struct {
+	obj  types.Object
+	name string
+}
 
 func runMetricdiscipline(pass *Pass) error {
 	collectors := metricCollectors(pass.Pkg)
 	if len(collectors) == 0 {
 		return nil
 	}
-	type usage struct {
-		incremented bool
-		exposed     bool
-		badName     string
-		badPos      token.Pos
-	}
-	uses := make(map[types.Object]*usage, len(collectors))
-	for _, obj := range collectors {
-		uses[obj] = &usage{}
-	}
-
+	incremented := make(map[types.Object]bool, len(collectors))
 	for _, file := range pass.Pkg.Files {
 		ast.Inspect(file, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			// Increment: <struct>.<Field>.Add(...) — any Add (or Store,
-			// for gauges) on a collector field counts, wherever it
-			// happens.
-			for _, method := range []string{"Add", "Store"} {
-				if obj := atomicMethodTarget(pass.Pkg, call, method); obj != nil {
-					if u, tracked := uses[obj]; tracked {
-						u.incremented = true
-					}
-				}
-			}
-			// Exposure: a call carrying both string literals and
-			// <Field>.Load() arguments renders the collector under the
-			// literal's metric name.
-			var loaded []types.Object
-			var literals []string
-			for _, arg := range call.Args {
-				if inner, ok := ast.Unparen(arg).(*ast.CallExpr); ok {
-					if obj := atomicMethodTarget(pass.Pkg, inner, "Load"); obj != nil {
-						if _, tracked := uses[obj]; tracked {
-							loaded = append(loaded, obj)
-						}
-					}
-				}
-				if lit, ok := ast.Unparen(arg).(*ast.BasicLit); ok && lit.Kind == token.STRING {
-					if s, err := strconv.Unquote(lit.Value); err == nil {
-						literals = append(literals, s)
-					}
-				}
-			}
-			if len(loaded) > 0 && len(literals) > 0 {
-				name, prefixed := htcMetricName(literals)
-				for _, obj := range loaded {
-					u := uses[obj]
-					u.exposed = true
-					if !prefixed && u.badName == "" {
-						u.badName = name
-						u.badPos = call.Pos()
-					}
+			if call, ok := n.(*ast.CallExpr); ok {
+				if obj := incrementTarget(pass.Pkg, call); obj != nil {
+					incremented[obj] = true
 				}
 			}
 			return true
 		})
 	}
-
-	for _, obj := range collectors {
-		u := uses[obj]
-		switch {
-		case !u.incremented && !u.exposed:
-			pass.Reportf(obj.Pos(), "collector %s is neither incremented nor exposed: dead metric", obj.Name())
-		case !u.incremented:
-			pass.Reportf(obj.Pos(), "collector %s is exposed but never incremented: it will flatline at zero forever", obj.Name())
-		case !u.exposed:
-			pass.Reportf(obj.Pos(), "collector %s is incremented but never exposed in the Prometheus rendering", obj.Name())
-		case u.badName != "":
-			pass.Reportf(u.badPos, "collector %s is exposed under %q: metric names must carry the htc_ prefix", obj.Name(), u.badName)
+	for _, c := range collectors {
+		if !strings.HasPrefix(c.name, "htc_") {
+			pass.Reportf(c.obj.Pos(), "collector %s is exported as %q: metric names must carry the htc_ prefix", c.obj.Name(), c.name)
+		}
+		if !incremented[c.obj] {
+			pass.Reportf(c.obj.Pos(), "collector %s is never incremented: it will flatline at zero forever", c.obj.Name())
 		}
 	}
 	return nil
 }
 
-// metricCollectors finds every struct field of a sync/atomic integer
-// type in the package — the collector roster, in declaration order.
-func metricCollectors(pkg *Package) []types.Object {
-	var collectors []types.Object
+// metricCollectors finds every metric-tagged struct field in the
+// package, in declaration order.
+func metricCollectors(pkg *Package) []collector {
+	var collectors []collector
 	for _, file := range pkg.Files {
 		ast.Inspect(file, func(n ast.Node) bool {
-			st, ok := n.(*ast.StructType)
-			if !ok {
+			field, ok := n.(*ast.Field)
+			if !ok || field.Tag == nil {
 				return true
 			}
-			for _, field := range st.Fields.List {
-				for _, name := range field.Names {
-					// Only exported fields are collectors by the
-					// project's Metrics-struct convention; unexported
-					// atomics are plain concurrency state (job ids,
-					// queue sequence numbers).
-					if !name.IsExported() {
-						continue
-					}
-					obj := pkg.Info.Defs[name]
-					if obj != nil && isAtomicCounter(obj.Type()) {
-						collectors = append(collectors, obj)
-					}
+			tag, err := strconv.Unquote(field.Tag.Value)
+			if err != nil {
+				return true
+			}
+			if name, tagged := reflect.StructTag(tag).Lookup("metric"); tagged {
+				for _, id := range field.Names {
+					collectors = append(collectors, collector{pkg.Info.Defs[id], name})
 				}
 			}
 			return true
@@ -145,29 +82,11 @@ func metricCollectors(pkg *Package) []types.Object {
 	return collectors
 }
 
-// isAtomicCounter reports whether t is one of sync/atomic's integer
-// boxes.
-func isAtomicCounter(t types.Type) bool {
-	named, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := named.Obj()
-	if obj.Pkg() == nil || obj.Pkg().Path() != "sync/atomic" {
-		return false
-	}
-	switch obj.Name() {
-	case "Int32", "Int64", "Uint32", "Uint64":
-		return true
-	}
-	return false
-}
-
-// atomicMethodTarget matches a call of the form <expr>.<Field>.<method>()
-// and returns the collector field object, or nil.
-func atomicMethodTarget(pkg *Package, call *ast.CallExpr, method string) types.Object {
+// incrementTarget matches a call of the form <expr>.<Field>.Add(...) or
+// <expr>.<Field>.Store(...) and returns the field object, or nil.
+func incrementTarget(pkg *Package, call *ast.CallExpr) types.Object {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok || sel.Sel.Name != method {
+	if !ok || (sel.Sel.Name != "Add" && sel.Sel.Name != "Store") {
 		return nil
 	}
 	inner, ok := ast.Unparen(sel.X).(*ast.SelectorExpr)
@@ -178,29 +97,4 @@ func atomicMethodTarget(pkg *Package, call *ast.CallExpr, method string) types.O
 		return fieldSel.Obj()
 	}
 	return nil
-}
-
-// htcMetricName extracts the metric name the literals carry: the first
-// identifier-shaped token starting with "htc_" wins; with none, the
-// first plausible metric-name token is reported as the offender.
-func htcMetricName(literals []string) (name string, prefixed bool) {
-	fallback := ""
-	for _, lit := range literals {
-		for _, tok := range strings.Fields(lit) {
-			m := metricNameRE.FindString(tok)
-			if m == "" || m != tok {
-				continue
-			}
-			if strings.HasPrefix(m, "htc_") {
-				return m, true
-			}
-			if fallback == "" && strings.Contains(m, "_") {
-				fallback = m
-			}
-		}
-	}
-	if fallback == "" && len(literals) > 0 {
-		fallback = literals[0]
-	}
-	return fallback, false
 }

@@ -1,47 +1,34 @@
 // Package metricdiscipline exercises the observability contract: every
-// exported atomic counter field must be incremented, exposed in the
-// Prometheus rendering, and exported under an htc_-prefixed name.
+// metric-tagged collector field must be incremented and name a series
+// with the htc_ prefix.
 package metricdiscipline
 
-import (
-	"fmt"
-	"io"
-	"sync/atomic"
-)
+import "sync/atomic"
+
+type Counter struct{ atomic.Int64 }
+
+type Gauge struct{ atomic.Int64 }
 
 // Metrics is the fixture's collector roster.
 type Metrics struct {
-	Aligns   atomic.Int64
-	Dead     atomic.Int64 // want `collector Dead is neither incremented nor exposed`
-	Flatline atomic.Int64 // want `collector Flatline is exposed but never incremented`
-	Hidden   atomic.Int64 // want `collector Hidden is incremented but never exposed`
-	Renamed  atomic.Int64
-	// Refines and RefineIters are the clean refine-counter pair:
-	// incremented by the handler and exposed under htc_refine_* names.
-	Refines     atomic.Int64
-	RefineIters atomic.Int64
+	Aligns   Counter `metric:"htc_aligns_total" help:"Alignments run."`
+	Flatline Counter `metric:"htc_flatline_total" help:"Never incremented."` // want `collector Flatline is never incremented`
+	Renamed  Counter `metric:"aligns_renamed_total" help:"No prefix."`       // want `collector Renamed is exported as "aligns_renamed_total": metric names must carry the htc_ prefix`
+	// Refines and RefineIters are the clean refine-counter pair.
+	Refines     Counter `metric:"htc_refine_runs_total" help:"Refine runs."`
+	RefineIters Counter `metric:"htc_refine_iters_total" help:"Refine iterations."`
+	// Running is a gauge: a Store counts as its increment.
+	Running Gauge `metric:"htc_running" help:"Jobs running."`
 
-	// seq is unexported concurrency state, not a collector.
+	// seq carries no metric tag: concurrency state, not a collector.
 	seq atomic.Int64
 }
 
 func (m *Metrics) observe() {
 	m.Aligns.Add(1)
-	m.Hidden.Add(1)
 	m.Renamed.Add(1)
 	m.Refines.Add(1)
 	m.RefineIters.Add(5)
+	m.Running.Store(2)
 	m.seq.Add(1)
-}
-
-func render(w io.Writer, m *Metrics) {
-	counter(w, "htc_aligns_total", m.Aligns.Load())
-	counter(w, "htc_flatline_total", m.Flatline.Load())
-	counter(w, "htc_refine_runs_total", m.Refines.Load())
-	counter(w, "htc_refine_iters_total", m.RefineIters.Load())
-	fmt.Fprintf(w, "# HELP aligns_renamed_total renders\naligns_renamed_total %d\n", m.Renamed.Load()) // want `exposed under "aligns_renamed_total"`
-}
-
-func counter(w io.Writer, name string, v int64) {
-	fmt.Fprintf(w, "# TYPE %s counter\n%s %d\n", name, name, v)
 }

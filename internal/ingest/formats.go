@@ -150,19 +150,25 @@ func (jsonFormat) Write(w io.Writer, g *graph.Graph, nodes *NodeMap) error {
 
 // DecodeStrict decodes exactly one JSON value from r into v. An unknown
 // object field is an error, and so is anything but whitespace after the
-// value: a *TrailingDataError. Decode errors come back unwrapped, so
-// errors.As still finds the reader's own, such as the
-// *http.MaxBytesError of an oversized request body.
+// value: a *TrailingDataError. Decode errors and the reader's own errors
+// come back unwrapped, so errors.As still finds, say, the
+// *http.MaxBytesError of a request body that runs past its limit.
 func DecodeStrict(r io.Reader, v any) error {
 	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
 		return err
 	}
-	if _, err := dec.Token(); err != io.EOF {
-		return &TrailingDataError{Offset: dec.InputOffset()}
+	_, err := dec.Token()
+	if err == io.EOF {
+		return nil
 	}
-	return nil
+	// A value, a syntax error or a truncated value after the first is
+	// trailing data; any other error is the reader's own.
+	if _, syntax := err.(*json.SyntaxError); err != nil && !syntax && err != io.ErrUnexpectedEOF {
+		return err
+	}
+	return &TrailingDataError{Offset: dec.InputOffset()}
 }
 
 // TrailingDataError reports data after the one JSON value DecodeStrict

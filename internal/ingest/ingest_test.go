@@ -3,10 +3,12 @@ package ingest
 import (
 	"bytes"
 	"errors"
+	"io"
 	"math/rand"
 	"path/filepath"
 	"strings"
 	"testing"
+	"testing/iotest"
 
 	"github.com/htc-align/htc/internal/dense"
 	"github.com/htc-align/htc/internal/graph"
@@ -136,6 +138,22 @@ func TestJSONSpecValidation(t *testing.T) {
 	_, err := Load(strings.NewReader(`{"nodes": 2, "edges": [[0, 5]]}`), Options{Format: "json"})
 	if !errors.Is(err, graph.ErrEdgeRange) {
 		t.Errorf("edge-range error = %v, want ErrEdgeRange", err)
+	}
+}
+
+// TestDecodeStrictReaderError: a reader that fails after the value is
+// not trailing data; its own error comes back, while a truncated value
+// after the first is still trailing data.
+func TestDecodeStrictReaderError(t *testing.T) {
+	broken := errors.New("connection reset")
+	var v struct{ Nodes int }
+	err := DecodeStrict(io.MultiReader(strings.NewReader(`{"Nodes": 1}  `), iotest.ErrReader(broken)), &v)
+	if !errors.Is(err, broken) {
+		t.Errorf("failing reader: err = %v, want the reader's error", err)
+	}
+	var trailing *TrailingDataError
+	if err := DecodeStrict(strings.NewReader(`{"Nodes": 1} "abc`), &v); !errors.As(err, &trailing) {
+		t.Errorf("truncated second value: err = %v, want *TrailingDataError", err)
 	}
 }
 

@@ -74,7 +74,13 @@ func canonicalJSON(t *testing.T, blob []byte) []byte {
 
 func checkGolden(t *testing.T, name string, body []byte) {
 	t.Helper()
-	got := canonicalJSON(t, body)
+	compareGolden(t, name, canonicalJSON(t, body))
+}
+
+// compareGolden compares got byte for byte with testdata/name, or
+// rewrites that file under -update.
+func compareGolden(t *testing.T, name string, got []byte) {
+	t.Helper()
 	path := filepath.Join("testdata", name)
 	if *update {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {

@@ -3,68 +3,52 @@ package server
 import (
 	"fmt"
 	"io"
+	"reflect"
 	"sort"
+	"strings"
 	"sync/atomic"
 
 	"github.com/htc-align/htc/internal/core"
 )
 
-// Metrics holds the service counters, exposed in Prometheus text format
-// by GET /v1/metrics. All fields are manipulated atomically; the zero
-// value is ready to use.
+// A Counter is a Prometheus counter: a series that only grows.
+type Counter struct{ atomic.Int64 }
+
+// A Gauge is a Prometheus gauge: a series that goes up and down.
+type Gauge struct{ atomic.Int64 }
+
+// Metrics holds the service's series, exposed in Prometheus text format
+// by GET /v1/metrics in declaration order. Each field is a Counter or a
+// Gauge and names its series and help text in its tags, so a new series
+// is one tagged field plus its increment. All fields are manipulated
+// atomically; the zero value is ready to use.
 type Metrics struct {
-	JobsSubmitted atomic.Int64
-	JobsRejected  atomic.Int64
-	JobsCompleted atomic.Int64
-	JobsFailed    atomic.Int64
-	JobsCancelled atomic.Int64
-	JobsRunning   atomic.Int64 // gauge: jobs currently holding a worker
-	CacheHits     atomic.Int64
-	CacheMisses   atomic.Int64
-	// PreparedHits/Misses count artifact-cache lookups: a hit means a job
-	// skipped the orbit-counting and Laplacian stages entirely because an
-	// earlier job on the same graph pair already built them.
-	PreparedHits   atomic.Int64
-	PreparedMisses atomic.Int64
-	// SweepConfigs counts individual configurations executed by sweep
-	// jobs (cache-served entries included).
-	SweepConfigs atomic.Int64
-	// DatasetUploads counts PUT /v1/datasets admissions (replacements
-	// included); DatasetEvictions counts LRU evictions from the store;
-	// DatasetAlignRuns counts pipeline runs resolved from an uploaded
-	// dataset.
-	DatasetUploads   atomic.Int64
-	DatasetEvictions atomic.Int64
-	DatasetAlignRuns atomic.Int64
-	// SimDenseRuns/SimTopKRuns/SimAnnRuns count completed pipeline runs
-	// per similarity backend (auto configs count under the backend they
-	// resolved to), so operators can see the backend mix their traffic
-	// actually exercises. SimAnnExactRuns additionally counts the ann
-	// runs whose probe budget covered every bucket — the exactness
-	// escape hatch, where "approximate" traffic was in fact exact.
-	SimDenseRuns    atomic.Int64
-	SimTopKRuns     atomic.Int64
-	SimAnnRuns      atomic.Int64
-	SimAnnExactRuns atomic.Int64
-	// SimAnnPoolRows accumulates the candidate rows ANN runs gathered for
-	// exact re-ranking — the work-per-query series; divided by queries it
-	// exposes skew (a balanced hash keeps the mean pool near k, hot
-	// buckets inflate it).
-	SimAnnPoolRows atomic.Int64
-	// SimF32Runs counts completed pipeline runs whose fine-tune similarity
-	// ran on the float32 compute tier (explicit precision=f32 and auto
-	// configs that resolved there alike), so operators can see how much
-	// traffic actually exercises the half-width path.
-	SimF32Runs atomic.Int64
-	// RefineRuns counts POST /v1/refine executions (cache hits excluded);
-	// RefineIterations accumulates the RefiNA iterations they ran;
-	// RefineCacheHits counts refine requests served from the refine
-	// cache; RefinedAlignRuns counts pipeline runs whose config enabled
-	// the stage-6 refinement.
-	RefineRuns       atomic.Int64
-	RefineIterations atomic.Int64
-	RefineCacheHits  atomic.Int64
-	RefinedAlignRuns atomic.Int64
+	JobsSubmitted    Counter `metric:"htc_jobs_submitted_total" help:"Alignment jobs accepted into the queue."`
+	JobsRejected     Counter `metric:"htc_jobs_rejected_total" help:"Submissions rejected because the queue was full."`
+	JobsCompleted    Counter `metric:"htc_jobs_completed_total" help:"Jobs that finished successfully."`
+	JobsFailed       Counter `metric:"htc_jobs_failed_total" help:"Jobs that finished with an error."`
+	JobsCancelled    Counter `metric:"htc_jobs_cancelled_total" help:"Jobs cancelled before completion."`
+	CacheHits        Counter `metric:"htc_cache_hits_total" help:"Submissions served from the result cache."`
+	CacheMisses      Counter `metric:"htc_cache_misses_total" help:"Submissions that required a pipeline run."`
+	PreparedHits     Counter `metric:"htc_prepared_hits_total" help:"Jobs that reused cached prepared artifacts for their graph pair."`
+	PreparedMisses   Counter `metric:"htc_prepared_misses_total" help:"Jobs that had to prepare their graph pair from scratch."`
+	SweepConfigs     Counter `metric:"htc_sweep_configs_total" help:"Configurations executed on behalf of sweep jobs."`
+	DatasetUploads   Counter `metric:"htc_dataset_uploads_total" help:"Dataset uploads admitted via PUT /v1/datasets."`
+	DatasetEvictions Counter `metric:"htc_dataset_evictions_total" help:"Uploaded datasets evicted from the LRU store."`
+	DatasetAlignRuns Counter `metric:"htc_dataset_align_runs_total" help:"Pipeline runs resolved from an uploaded dataset."`
+	// The similarity series count runs under the backend an auto config
+	// resolved to, so they show the mix traffic actually exercises.
+	SimDenseRuns     Counter `metric:"htc_sim_dense_runs_total" help:"Pipeline runs that used the dense similarity backend."`
+	SimTopKRuns      Counter `metric:"htc_sim_topk_runs_total" help:"Pipeline runs that used the top-k similarity backend."`
+	SimAnnRuns       Counter `metric:"htc_sim_ann_runs_total" help:"Pipeline runs that used the approximate (LSH) similarity backend."`
+	SimAnnExactRuns  Counter `metric:"htc_sim_ann_exact_runs_total" help:"ANN runs whose probe budget covered every bucket (exactness escape hatch)."`
+	SimAnnPoolRows   Counter `metric:"htc_sim_ann_pool_rows" help:"Candidate rows gathered for exact re-ranking across ANN runs."`
+	SimF32Runs       Counter `metric:"htc_sim_f32_runs_total" help:"Pipeline runs whose fine-tune similarity ran on the float32 tier."`
+	RefineRuns       Counter `metric:"htc_refine_runs_total" help:"POST /v1/refine executions (cache hits excluded)."`
+	RefineIterations Counter `metric:"htc_refine_iters_total" help:"RefiNA iterations run on behalf of /v1/refine requests."`
+	RefineCacheHits  Counter `metric:"htc_refine_cache_hits_total" help:"Refine requests served from the refine result cache."`
+	RefinedAlignRuns Counter `metric:"htc_refined_align_runs_total" help:"Pipeline runs whose config enabled stage-6 refinement."`
+	JobsRunning      Gauge   `metric:"htc_jobs_running" help:"Jobs currently holding a worker."`
 }
 
 // recordBackend tallies one completed pipeline run under its resolved
@@ -92,36 +76,19 @@ func (m *Metrics) recordBackend(res *core.Result) {
 	}
 }
 
-// writePrometheus renders the counters in Prometheus exposition format.
-// extras lets the caller append gauges it owns (queue depth, uptime).
+// writePrometheus renders the series in Prometheus exposition format,
+// then the gauges extras holds, which the caller owns (queue depth,
+// uptime), sorted by name.
 func (m *Metrics) writePrometheus(w io.Writer, extras map[string]float64) {
-	counter := func(name, help string, v int64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
+	v := reflect.ValueOf(m).Elem()
+	t := v.Type()
+	for i := range t.NumField() {
+		f := t.Field(i)
+		// The field's type, Counter or Gauge, names its Prometheus TYPE.
+		kind := strings.ToLower(f.Type.Name())
+		value := v.Field(i).Field(0).Addr().Interface().(*atomic.Int64).Load()
+		fmt.Fprintf(w, "# HELP %[1]s %[2]s\n# TYPE %[1]s %[3]s\n%[1]s %[4]d\n", f.Tag.Get("metric"), f.Tag.Get("help"), kind, value)
 	}
-	counter("htc_jobs_submitted_total", "Alignment jobs accepted into the queue.", m.JobsSubmitted.Load())
-	counter("htc_jobs_rejected_total", "Submissions rejected because the queue was full.", m.JobsRejected.Load())
-	counter("htc_jobs_completed_total", "Jobs that finished successfully.", m.JobsCompleted.Load())
-	counter("htc_jobs_failed_total", "Jobs that finished with an error.", m.JobsFailed.Load())
-	counter("htc_jobs_cancelled_total", "Jobs cancelled before completion.", m.JobsCancelled.Load())
-	counter("htc_cache_hits_total", "Submissions served from the result cache.", m.CacheHits.Load())
-	counter("htc_cache_misses_total", "Submissions that required a pipeline run.", m.CacheMisses.Load())
-	counter("htc_prepared_hits_total", "Jobs that reused cached prepared artifacts for their graph pair.", m.PreparedHits.Load())
-	counter("htc_prepared_misses_total", "Jobs that had to prepare their graph pair from scratch.", m.PreparedMisses.Load())
-	counter("htc_sweep_configs_total", "Configurations executed on behalf of sweep jobs.", m.SweepConfigs.Load())
-	counter("htc_dataset_uploads_total", "Dataset uploads admitted via PUT /v1/datasets.", m.DatasetUploads.Load())
-	counter("htc_dataset_evictions_total", "Uploaded datasets evicted from the LRU store.", m.DatasetEvictions.Load())
-	counter("htc_dataset_align_runs_total", "Pipeline runs resolved from an uploaded dataset.", m.DatasetAlignRuns.Load())
-	counter("htc_sim_dense_runs_total", "Pipeline runs that used the dense similarity backend.", m.SimDenseRuns.Load())
-	counter("htc_sim_topk_runs_total", "Pipeline runs that used the top-k similarity backend.", m.SimTopKRuns.Load())
-	counter("htc_sim_ann_runs_total", "Pipeline runs that used the approximate (LSH) similarity backend.", m.SimAnnRuns.Load())
-	counter("htc_sim_ann_exact_runs_total", "ANN runs whose probe budget covered every bucket (exactness escape hatch).", m.SimAnnExactRuns.Load())
-	counter("htc_sim_ann_pool_rows", "Candidate rows gathered for exact re-ranking across ANN runs.", m.SimAnnPoolRows.Load())
-	counter("htc_sim_f32_runs_total", "Pipeline runs whose fine-tune similarity ran on the float32 tier.", m.SimF32Runs.Load())
-	counter("htc_refine_runs_total", "POST /v1/refine executions (cache hits excluded).", m.RefineRuns.Load())
-	counter("htc_refine_iters_total", "RefiNA iterations run on behalf of /v1/refine requests.", m.RefineIterations.Load())
-	counter("htc_refine_cache_hits_total", "Refine requests served from the refine result cache.", m.RefineCacheHits.Load())
-	counter("htc_refined_align_runs_total", "Pipeline runs whose config enabled stage-6 refinement.", m.RefinedAlignRuns.Load())
-	fmt.Fprintf(w, "# HELP htc_jobs_running Jobs currently holding a worker.\n# TYPE htc_jobs_running gauge\nhtc_jobs_running %d\n", m.JobsRunning.Load())
 	names := make([]string, 0, len(extras))
 	for name := range extras {
 		names = append(names, name)

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"regexp"
 	"strings"
 	"testing"
 	"time"
@@ -264,17 +265,22 @@ func TestTrailingDataRejected(t *testing.T) {
 }
 
 // TestOversizedBodyRejected: a body over Options.MaxBodyBytes is a 413,
-// not a malformed-JSON 400, however far the decoder got.
+// not a malformed-JSON or trailing-data 400, however far the decoder got.
 func TestOversizedBodyRejected(t *testing.T) {
 	ts := newTestServer(t, Options{Workers: 1, MaxBodyBytes: 64})
-	body := `{"dataset":"synthetic","n":30,"config":{"variant":"HTC-L","epochs":1,"hidden":4,"embed":2}}`
-	code, blob := doJSON(t, ts, http.MethodPost, "/v1/align", body)
-	var env ErrorBody
-	if err := json.Unmarshal(blob, &env); err != nil {
-		t.Fatalf("decoding %s: %v", blob, err)
-	}
-	if code != http.StatusRequestEntityTooLarge || env.Error.Message != "body exceeds 64 bytes" {
-		t.Fatalf("%d %+v, want 413 \"body exceeds 64 bytes\"", code, env.Error)
+	for _, body := range []string{
+		`{"dataset":"synthetic","n":30,"config":{"variant":"HTC-L","epochs":1,"hidden":4,"embed":2}}`,
+		// One value inside the limit, then whitespace past it.
+		`{"dataset":"synthetic","n":30}` + strings.Repeat(" ", 100),
+	} {
+		code, blob := doJSON(t, ts, http.MethodPost, "/v1/align", body)
+		var env ErrorBody
+		if err := json.Unmarshal(blob, &env); err != nil {
+			t.Fatalf("decoding %s: %v", blob, err)
+		}
+		if code != http.StatusRequestEntityTooLarge || env.Error.Message != "body exceeds 64 bytes" {
+			t.Errorf("%.40q: %d %+v, want 413 \"body exceeds 64 bytes\"", body, code, env.Error)
+		}
 	}
 }
 
@@ -365,6 +371,9 @@ func TestMetricsEndpoint(t *testing.T) {
 			t.Errorf("metrics output missing %q:\n%s", want, text)
 		}
 	}
+	// The traffic above fixes every value but the uptime.
+	uptime := regexp.MustCompile(`(?m)^htc_uptime_seconds .*$`)
+	compareGolden(t, "metrics.golden", uptime.ReplaceAll(buf.Bytes(), []byte("htc_uptime_seconds <uptime>")))
 }
 
 func TestMethodNotAllowed(t *testing.T) {
