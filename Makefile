@@ -1,5 +1,7 @@
-# Local targets mirror .github/workflows/ci.yml exactly: `make ci` runs
-# what CI runs.
+# Local targets mirror .github/workflows/ci.yml: `make ci` runs CI's
+# steps in CI's order. The one deliberate difference is `bench-gate`,
+# which also runs the minutes-long BenchmarkAlignAnnIngested100K series
+# that CI's pipeline-benchmark step leaves out.
 
 GO ?= go
 
@@ -32,10 +34,12 @@ test-refine:
 # The dense and sparse product kernels apply four multiply-adds per pass
 # over the output yet must round exactly as one-term loops do, and every
 # pipeline stage relies on that for bit-identical results at any worker
-# count. Run their bit-exact suites and the encoder's built on them under
-# the race detector, uncached.
+# count. The top-k selector's tie rule (a larger score first, equal
+# scores to the lower index) keeps the candidate generators and RefiNA's
+# token choice in step. Run their bit-exact suites, the selector's and
+# the encoder's under the race detector, uncached.
 test-kernels:
-	$(GO) test -race -count=1 ./internal/dense/... ./internal/sparse/... ./internal/nn/...
+	$(GO) test -race -count=1 ./internal/dense/... ./internal/sparse/... ./internal/topk/... ./internal/nn/...
 
 # The benchmark program under bench/ is its own module (so root `./...`
 # patterns skip it), yet it compiles against internal/server and
@@ -96,4 +100,4 @@ fuzz:
 		$(GO) test ./internal/ingest/ -run='^$$' -fuzz="^$$t$$" -fuzztime=$(FUZZTIME) || exit 1; \
 	done
 
-ci: lint build test test-ann test-refine test-kernels test-bench fuzz bench bench-gate
+ci: lint build test test-ann test-refine test-kernels test-bench bench fuzz bench-gate

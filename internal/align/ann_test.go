@@ -238,3 +238,53 @@ func TestFineTuneANNExactMatchesTopK(t *testing.T) {
 		t.Fatal("full-probe ANN fine-tuning deviates from the exact top-k loop")
 	}
 }
+
+// TestTiedScoresAgreeAcrossBackends pins the tie rule of the candidate
+// lists. The target side repeats 8 distinct embedding rows 5 times, so
+// every query scores each group of copies exactly equal. On both
+// precision tiers the blocked scan and a full-probe ANN index must agree
+// entry for entry, scores must descend, and tied columns must come in
+// ascending order.
+func TestTiedScoresAgreeAcrossBackends(t *testing.T) {
+	const distinct, copies, d = 8, 5, 6
+	rng := rand.New(rand.NewSource(3))
+	base := randomEmbeddings(distinct, d, rng)
+	ht := dense.New(distinct*copies, d)
+	for i := 0; i < ht.Rows; i++ {
+		copy(ht.Row(i), base.Row(i%distinct))
+	}
+	hs := randomEmbeddings(10, d, rng)
+	p := ann.Params{Bits: 4, Probes: 1 << 4, Seed: 1}
+	for _, k := range []int{3, 7, 12, 40} {
+		var ts topkScratch
+		var ts32 topkScratch32
+		tiers := [][2]*Candidates{
+			{ts.topK(hs, ht, k, 2), (&annScratch{p: p}).topK(hs, ht, k, 2)},
+			{ts32.topK(hs, ht, k, 2), (&annScratch32{p: p}).topK(hs, ht, k, 2)},
+		}
+		for tier, c := range tiers {
+			if !reflect.DeepEqual(c[0], c[1]) {
+				t.Fatalf("k=%d tier %d: full-probe ANN deviates from the blocked scan", k, tier)
+			}
+			ties := 0
+			for i, idx := range c[0].Idx {
+				score := c[0].Score[i]
+				for q := 1; q < len(idx); q++ {
+					switch {
+					case score[q] > score[q-1]:
+						t.Fatalf("k=%d tier %d row %d: scores ascend at slot %d", k, tier, i, q)
+					case score[q] == score[q-1]:
+						ties++
+						if idx[q] <= idx[q-1] {
+							t.Fatalf("k=%d tier %d row %d: tied columns %d, %d out of order", k, tier, i, idx[q-1], idx[q])
+						}
+					}
+				}
+			}
+			if ties == 0 {
+				t.Fatalf("k=%d tier %d: no tied scores, the test pins nothing", k, tier)
+			}
+			t.Logf("k=%d tier %d: %d ties", k, tier, ties)
+		}
+	}
+}

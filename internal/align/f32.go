@@ -15,6 +15,7 @@ import (
 	"github.com/htc-align/htc/internal/ann"
 	"github.com/htc-align/htc/internal/dense"
 	"github.com/htc-align/htc/internal/par"
+	"github.com/htc-align/htc/internal/topk"
 )
 
 // topkScratch32 is topkScratch on the float32 tier: half-width
@@ -24,13 +25,13 @@ import (
 type topkScratch32 struct {
 	a, b   *dense.Matrix32
 	blocks []*dense.Matrix32
-	heaps  []candHeap
+	sels   []topk.Selector
 }
 
 // topK mirrors topkScratch.topK over float32 embeddings. Scores are
 // accumulated in float64 per cell and stored as float32 (see
-// dense.MulBTInto32); the selection heap compares the widened stored
-// values, so results are bit-identical for every worker count.
+// dense.MulBTInto32); topk.Select compares the widened stored values,
+// so results are bit-identical for every worker count.
 func (s *topkScratch32) topK(hs, ht *dense.Matrix, k, workers int) *Candidates {
 	if k < 1 {
 		panic(fmt.Sprintf("align: TopKCandidates k = %d < 1", k))
@@ -68,8 +69,8 @@ func (s *topkScratch32) topK(hs, ht *dense.Matrix, k, workers int) *Candidates {
 	if len(s.blocks) < w {
 		s.blocks = append(s.blocks, make([]*dense.Matrix32, w-len(s.blocks))...)
 	}
-	if len(s.heaps) < w {
-		s.heaps = append(s.heaps, make([]candHeap, w-len(s.heaps))...)
+	if len(s.sels) < w {
+		s.sels = append(s.sels, make([]topk.Selector, w-len(s.sels))...)
 	}
 	a, b := s.a, s.b
 	par.Sharded(w, nBlocks, func(worker, blk int) {
@@ -83,46 +84,12 @@ func (s *topkScratch32) topK(hs, ht *dense.Matrix, k, workers int) *Candidates {
 		sim := &dense.Matrix32{Rows: rows, Cols: nt, Data: s.blocks[worker].Data[:rows*nt]}
 		block := &dense.Matrix32{Rows: rows, Cols: a.Cols, Data: a.Data[start*a.Cols : end*a.Cols]}
 		dense.MulBTInto32(sim, block, b, 1)
-		h := &s.heaps[worker]
+		sel := &s.sels[worker]
 		for r := 0; r < rows; r++ {
-			h.selectInto32(out.Idx[start+r], out.Score[start+r], sim.Row(r))
+			topk.Select(sel, out.Idx[start+r], out.Score[start+r], nil, sim.Row(r))
 		}
 	})
 	return out
-}
-
-// selectInto32 is selectInto over a float32 similarity row: candidates
-// are compared on the stored half-width values and the winners' scores
-// widen on output. float32→float64 conversion is monotonic and
-// injective, so the (score desc, index asc) order of the widened row
-// equals the float32 order.
-func (h *candHeap) selectInto32(outIdx []int32, outScore []float64, row []float32) {
-	k := len(outIdx)
-	if k == 0 {
-		return
-	}
-	h.idx = h.idx[:0]
-	h.score = h.score[:0]
-	for j, f := range row {
-		v := float64(f)
-		if len(h.idx) < k {
-			h.idx = append(h.idx, int32(j))
-			h.score = append(h.score, v)
-			h.siftUp(len(h.idx) - 1)
-			continue
-		}
-		if v > h.score[0] || (v == h.score[0] && int32(j) < h.idx[0]) {
-			h.idx[0], h.score[0] = int32(j), v
-			h.siftDown(0, k)
-		}
-	}
-	n := len(h.idx)
-	for p := n - 1; p >= 0; p-- {
-		outIdx[p], outScore[p] = h.idx[0], h.score[0]
-		h.swap(0, n-1)
-		n--
-		h.siftDown(0, n)
-	}
 }
 
 // annScratch32 is annScratch on the float32 tier: half-width

@@ -278,5 +278,6 @@ func sortRowDesc(idx []int32, score []float64) {
 // SortRowDesc orders a candidate row best-first in place: descending
 // score, ties by ascending column — the one tie rule every sparse
 // consumer (matching, evaluation, refinement) shares, exported so other
-// packages producing candidate rows cannot drift from it.
+// packages producing candidate rows cannot drift from it. topk.Select
+// keeps the k best of a row by the same rule without a full sort.
 func SortRowDesc(idx []int32, score []float64) { sortRowDesc(idx, score) }

@@ -3,6 +3,10 @@
 // the locally isolated similarity index LISI (Eq. 10–11), mutual-nearest
 // trusted pairs (Eq. 12), the trusted-pair fine-tuning loop of Algorithm 2
 // (Eq. 13–14) and the posterior importance integration of Eq. 15.
+//
+// The top-k and ANN candidate generators keep each node's k best
+// counterparts through internal/topk: a larger score first, equal scores
+// to the lower index, the order SortRowDesc sorts by.
 package align
 
 import (

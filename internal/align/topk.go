@@ -5,6 +5,7 @@ import (
 
 	"github.com/htc-align/htc/internal/dense"
 	"github.com/htc-align/htc/internal/par"
+	"github.com/htc-align/htc/internal/topk"
 )
 
 // Candidates holds, for every query node, its k most similar nodes on the
@@ -28,7 +29,7 @@ type Candidates struct {
 type topkScratch struct {
 	a, b   *dense.Matrix   // centered + row-normalised embedding copies
 	blocks []*dense.Matrix // per-worker sim-block buffers
-	heaps  []candHeap      // per-worker top-k selection heaps
+	sels   []topk.Selector // per-worker top-k selectors
 }
 
 // TopKCandidates computes the top-k Pearson-similar target rows for every
@@ -105,8 +106,8 @@ func (s *topkScratch) topK(hs, ht *dense.Matrix, k, workers int) *Candidates {
 	if len(s.blocks) < w {
 		s.blocks = append(s.blocks, make([]*dense.Matrix, w-len(s.blocks))...)
 	}
-	if len(s.heaps) < w {
-		s.heaps = append(s.heaps, make([]candHeap, w-len(s.heaps))...)
+	if len(s.sels) < w {
+		s.sels = append(s.sels, make([]topk.Selector, w-len(s.sels))...)
 	}
 	a, b := s.a, s.b
 	par.Sharded(w, nBlocks, func(worker, blk int) {
@@ -122,98 +123,12 @@ func (s *topkScratch) topK(hs, ht *dense.Matrix, k, workers int) *Candidates {
 		// The fan-out lives at the block level; the kernel itself runs
 		// serially inside its worker.
 		dense.MulBTInto(sim, block, b, 1)
-		h := &s.heaps[worker]
-		for r := 0; r < rows; r++ {
-			h.selectInto(out.Idx[start+r], out.Score[start+r], sim.Row(r))
+		sel := &s.sels[worker]
+		for r := start; r < end; r++ {
+			topk.Select(sel, out.Idx[r], out.Score[r], nil, sim.Row(r-start))
 		}
 	})
 	return out
-}
-
-// candHeap selects the k largest entries of a row deterministically: a
-// fixed-capacity min-heap ordered by "worse first", where worse means a
-// smaller score or, on equal scores, a larger index. Popping everything
-// back-to-front therefore yields descending scores with ties by lower
-// index — exactly the order a stable descending sort would produce.
-type candHeap struct {
-	idx   []int32
-	score []float64
-}
-
-// worse reports whether heap slot a holds a strictly worse candidate
-// than slot b.
-func (h *candHeap) worse(a, b int) bool {
-	if h.score[a] != h.score[b] {
-		return h.score[a] < h.score[b]
-	}
-	return h.idx[a] > h.idx[b]
-}
-
-func (h *candHeap) swap(a, b int) {
-	h.idx[a], h.idx[b] = h.idx[b], h.idx[a]
-	h.score[a], h.score[b] = h.score[b], h.score[a]
-}
-
-func (h *candHeap) siftUp(i int) {
-	for i > 0 {
-		p := (i - 1) / 2
-		if !h.worse(i, p) {
-			return
-		}
-		h.swap(i, p)
-		i = p
-	}
-}
-
-func (h *candHeap) siftDown(i, n int) {
-	for {
-		l := 2*i + 1
-		if l >= n {
-			return
-		}
-		m := l
-		if r := l + 1; r < n && h.worse(r, l) {
-			m = r
-		}
-		if !h.worse(m, i) {
-			return
-		}
-		h.swap(i, m)
-		i = m
-	}
-}
-
-// selectInto writes row's k largest entries (k = len(outIdx), descending,
-// ties by lower index) into the output slices.
-func (h *candHeap) selectInto(outIdx []int32, outScore []float64, row []float64) {
-	k := len(outIdx)
-	if k == 0 {
-		return
-	}
-	h.idx = h.idx[:0]
-	h.score = h.score[:0]
-	for j, v := range row {
-		if len(h.idx) < k {
-			h.idx = append(h.idx, int32(j))
-			h.score = append(h.score, v)
-			h.siftUp(len(h.idx) - 1)
-			continue
-		}
-		// Strictly better than the current worst? (On a score tie the
-		// lower index — already in the heap — wins.)
-		if v > h.score[0] || (v == h.score[0] && int32(j) < h.idx[0]) {
-			h.idx[0], h.score[0] = int32(j), v
-			h.siftDown(0, k)
-		}
-	}
-	// Pop worst-first into the tail of the output.
-	n := len(h.idx)
-	for p := n - 1; p >= 0; p-- {
-		outIdx[p], outScore[p] = h.idx[0], h.score[0]
-		h.swap(0, n-1)
-		n--
-		h.siftDown(0, n)
-	}
 }
 
 // SparseLISI evaluates the LISI score only on candidate pairs: forward

@@ -29,7 +29,9 @@
 // bucket assembly is a stable counting sort, probe order breaks cost
 // ties by perturbation mask, and re-ranking scores every candidate with
 // the same sequential dot product as the dense kernel, so results are
-// identical for every worker count.
+// identical for every worker count. The re-rank keeps the k best through
+// internal/topk, the selector of the blocked scan, so equal pools give
+// equal output.
 package ann
 
 import (
@@ -39,6 +41,7 @@ import (
 
 	"github.com/htc-align/htc/internal/dense"
 	"github.com/htc-align/htc/internal/par"
+	"github.com/htc-align/htc/internal/topk"
 )
 
 // MaxBits caps the code width: the bucket-offset table costs O(2^Bits),
@@ -411,7 +414,9 @@ type searcher struct {
 	q   []float64 // current query row (borrowed during one search; nil on the f32 tier)
 	q32 []float32 // current f32-tier query row (exactly one of q/q32 is set)
 	cap int       // effective pool cap for this TopK call (0 = none)
-	sel selHeap
+	// scores holds the re-rank scores of the pool, selected from by sel.
+	scores []float64
+	sel    topk.Selector
 
 	queries  int64 // per-TopK stat accumulators
 	poolRows int64
@@ -450,15 +455,7 @@ func (s *searcher) wantMore(k, probed, floor int) bool {
 func (ix *Index) search(s *searcher, q []float64, q32 []float32, k int, outIdx []int32, outScore []float64) {
 	s.queries++
 	if ix.p.Exact() {
-		s.poolRows += int64(ix.n)
-		if ix.n > s.maxPool {
-			s.maxPool = ix.n
-		}
-		if q32 != nil {
-			s.sel.selectRows32(outIdx, outScore, q32, ix.data32, nil, ix.n)
-		} else {
-			s.sel.selectRows(outIdx, outScore, q, ix.data, nil, ix.n)
-		}
+		ix.rerank(s, q, q32, nil, outIdx, outScore)
 		return
 	}
 	s.q = q
@@ -530,15 +527,44 @@ func (ix *Index) search(s *searcher, q []float64, q32 []float32, k int, outIdx [
 	for di := 0; di+1 < len(s.deferred) && len(s.pool) < k; di += 2 {
 		s.take(ix.order[s.deferred[di]:s.deferred[di+1]])
 	}
-	s.poolRows += int64(len(s.pool))
-	if len(s.pool) > s.maxPool {
-		s.maxPool = len(s.pool)
+	ix.rerank(s, q, q32, s.pool, outIdx, outScore)
+}
+
+// rerank counts the pool in the searcher's stats, scores every pool row
+// against the query by sequential dot product (the dense kernel's
+// per-cell association) and selects the k = len(outIdx) best through
+// topk.Select. A nil pool is every fitted row: the exact full scan. On
+// the f32 tier a score accumulates in float64 and rounds to float32
+// before it widens, as dense.MulBTInto32 stores it, so a full-probe f32
+// index agrees bit for bit with the blocked f32 scan.
+func (ix *Index) rerank(s *searcher, q []float64, q32 []float32, pool []int32, outIdx []int32, outScore []float64) {
+	n := len(pool)
+	if pool == nil {
+		n = ix.n
 	}
-	if q32 != nil {
-		s.sel.selectRows32(outIdx, outScore, q32, ix.data32, s.pool, 0)
-	} else {
-		s.sel.selectRows(outIdx, outScore, q, ix.data, s.pool, 0)
+	s.poolRows += int64(n)
+	if n > s.maxPool {
+		s.maxPool = n
 	}
+	sc := resize(s.scores, n)
+	for p := range sc {
+		j := p
+		if pool != nil {
+			j = int(pool[p])
+		}
+		if q32 != nil {
+			row := ix.data32.Row(j)
+			var v float64
+			for i, qv := range q32 {
+				v += float64(qv) * float64(row[i])
+			}
+			sc[p] = float64(float32(v))
+		} else {
+			sc[p] = dot(q, ix.data.Row(j))
+		}
+	}
+	s.scores = sc
+	topk.Select(&s.sel, outIdx, outScore, pool, sc)
 }
 
 // gather appends one bucket's rows to the candidate pool. Buckets
@@ -712,150 +738,6 @@ func probeLess(c1 float64, m1 uint32, c2 float64, m2 uint32) bool {
 		return c1 < c2
 	}
 	return m1 < m2
-}
-
-// selHeap selects the k best candidates of one query deterministically:
-// a fixed-capacity min-heap ordered worse-first (smaller score, then
-// larger id at the root), popped back-to-front into descending order —
-// the same rule as the exact blocked scan, so equal pools give equal
-// output.
-type selHeap struct {
-	idx   []int32
-	score []float64
-}
-
-func (h *selHeap) worse(a, b int) bool {
-	if h.score[a] != h.score[b] {
-		return h.score[a] < h.score[b]
-	}
-	return h.idx[a] > h.idx[b]
-}
-
-func (h *selHeap) swap(a, b int) {
-	h.idx[a], h.idx[b] = h.idx[b], h.idx[a]
-	h.score[a], h.score[b] = h.score[b], h.score[a]
-}
-
-func (h *selHeap) siftUp(i int) {
-	for i > 0 {
-		p := (i - 1) / 2
-		if !h.worse(i, p) {
-			return
-		}
-		h.swap(i, p)
-		i = p
-	}
-}
-
-func (h *selHeap) siftDown(i, n int) {
-	for {
-		l := 2*i + 1
-		if l >= n {
-			return
-		}
-		m := l
-		if r := l + 1; r < n && h.worse(r, l) {
-			m = r
-		}
-		if !h.worse(m, i) {
-			return
-		}
-		h.swap(i, m)
-		i = m
-	}
-}
-
-// selectRows scores candidates against the query by sequential dot
-// product — the same per-cell association as the dense kernel — and
-// writes the k = len(outIdx) best into the output slices. Candidates
-// come from pool when non-nil, or rows 0..scanN−1 otherwise (the exact
-// full scan).
-func (h *selHeap) selectRows(outIdx []int32, outScore []float64, q []float64, data *dense.Matrix, pool []int32, scanN int) {
-	k := len(outIdx)
-	if k == 0 {
-		return
-	}
-	h.idx = h.idx[:0]
-	h.score = h.score[:0]
-	consider := func(j int32) {
-		v := dot(q, data.Row(int(j)))
-		if len(h.idx) < k {
-			h.idx = append(h.idx, j)
-			h.score = append(h.score, v)
-			h.siftUp(len(h.idx) - 1)
-			return
-		}
-		if v > h.score[0] || (v == h.score[0] && j < h.idx[0]) {
-			h.idx[0], h.score[0] = j, v
-			h.siftDown(0, k)
-		}
-	}
-	if pool != nil {
-		for _, j := range pool {
-			consider(j)
-		}
-	} else {
-		for j := 0; j < scanN; j++ {
-			consider(int32(j))
-		}
-	}
-	n := len(h.idx)
-	for p := n - 1; p >= 0; p-- {
-		outIdx[p], outScore[p] = h.idx[0], h.score[0]
-		h.swap(0, n-1)
-		n--
-		h.siftDown(0, n)
-	}
-}
-
-// selectRows32 is selectRows on the float32 tier. Scores accumulate in
-// float64 per candidate, then round to float32 before the final widen —
-// matching dense.MulBTInto32's store — so full-probe f32 results agree
-// bit for bit with the blocked f32 top-k scan. The heap is duplicated
-// rather than abstracted: this is the re-rank hot loop, and an
-// interface or closure per candidate would cost the very bandwidth win
-// the tier exists for.
-func (h *selHeap) selectRows32(outIdx []int32, outScore []float64, q []float32, data *dense.Matrix32, pool []int32, scanN int) {
-	k := len(outIdx)
-	if k == 0 {
-		return
-	}
-	h.idx = h.idx[:0]
-	h.score = h.score[:0]
-	consider := func(j int32) {
-		row := data.Row(int(j))
-		var s float64
-		for i, qv := range q {
-			s += float64(qv) * float64(row[i])
-		}
-		v := float64(float32(s))
-		if len(h.idx) < k {
-			h.idx = append(h.idx, j)
-			h.score = append(h.score, v)
-			h.siftUp(len(h.idx) - 1)
-			return
-		}
-		if v > h.score[0] || (v == h.score[0] && j < h.idx[0]) {
-			h.idx[0], h.score[0] = j, v
-			h.siftDown(0, k)
-		}
-	}
-	if pool != nil {
-		for _, j := range pool {
-			consider(j)
-		}
-	} else {
-		for j := 0; j < scanN; j++ {
-			consider(int32(j))
-		}
-	}
-	n := len(h.idx)
-	for p := n - 1; p >= 0; p-- {
-		outIdx[p], outScore[p] = h.idx[0], h.score[0]
-		h.swap(0, n-1)
-		n--
-		h.siftDown(0, n)
-	}
 }
 
 // dot is the sequential inner product — the exact association the dense

@@ -49,14 +49,6 @@ func (m *Matrix32) Row(i int) []float32 { return m.Data[i*m.Cols : i*m.Cols+m.Co
 // At returns element (i, j).
 func (m *Matrix32) At(i, j int) float32 { return m.Data[i*m.Cols+j] }
 
-// CopyFrom copies the contents of src into m. The shapes must match.
-func (m *Matrix32) CopyFrom(src *Matrix32) {
-	if m.Rows != src.Rows || m.Cols != src.Cols {
-		panic(fmt.Sprintf("dense: CopyFrom shape mismatch %dx%d vs %dx%d", m.Rows, m.Cols, src.Rows, src.Cols))
-	}
-	copy(m.Data, src.Data)
-}
-
 // Zero sets every entry of m to zero.
 func (m *Matrix32) Zero() {
 	for i := range m.Data {

@@ -27,9 +27,9 @@ type denseState struct {
 
 // denseScratch is one worker's row buffers.
 type denseScratch struct {
-	vals  []float64 // a copy of the row, sorted for its L1 sum
-	ord   []int32   // token-selection heap
-	token []int     // stamp marking the row's token columns
+	vals  []float64   // a copy of the row, sorted for its L1 sum
+	tok   tokenPicker // token choice
+	token []int       // stamp marking the row's token columns
 	gen   int
 }
 
@@ -109,13 +109,8 @@ func (d *denseState) step(gs, gt *graph.Graph, eps float64, tokenK, workers int)
 		// Token matches: every column U can reach, or its tokenK
 		// strongest (ties to the lower column) when the budget is
 		// smaller.
-		tokens := d.tcols
-		if tokenK < len(tokens) {
-			sc.ord = topTokens(sc.ord, tokens, ui, tokenK)
-			tokens = sc.ord
-		}
 		sc.gen++
-		for _, j := range tokens {
+		for _, j := range sc.tok.pick(d.tcols, ui, tokenK) {
 			sc.token[j] = sc.gen
 		}
 		for j, u := range ui {

@@ -17,7 +17,9 @@
 // so refining a dense matrix and refining a full (k ≥ nt) candidate
 // list are bit-identical; TestDenseAndFullCandidateListAgreeBitwise
 // checks that across graph shapes, token budgets and worker counts, and
-// TestRefinedBitsPinned pins both paths' output bits.
+// TestRefinedBitsPinned pins both paths' output bits. Both paths choose
+// their token matches through internal/topk, the candidate generators'
+// selector, ties to the lower column.
 package refine
 
 import (
@@ -29,6 +31,7 @@ import (
 	"github.com/htc-align/htc/internal/align"
 	"github.com/htc-align/htc/internal/graph"
 	"github.com/htc-align/htc/internal/par"
+	"github.com/htc-align/htc/internal/topk"
 )
 
 // Options configures a refinement run.
@@ -206,53 +209,32 @@ func softAssign(row []float64, logC float64) {
 	}
 }
 
-// topTokens returns the k columns of cand with the largest u[j], ties
-// to the lower column, in no particular order: a size-k heap whose root
-// is the weakest column kept, so selecting costs O(len(cand)·log k)
-// instead of a full sort. h is reused as the heap's backing array.
-func topTokens(h, cand []int32, u []float64, k int) []int32 {
-	// weaker reports whether column a ranks below column b.
-	weaker := func(a, b int32) bool {
-		if u[a] != u[b] {
-			return u[a] < u[b]
-		}
-		return a > b
+// tokenPicker is one worker's token choice: it gathers U over the
+// candidate columns and keeps the strongest through topk.Select, so
+// both paths break ties to the lower column by the aligner's one rule.
+type tokenPicker struct {
+	u     []float64 // U gathered over the candidate columns
+	idx   []int32
+	score []float64
+	sel   topk.Selector
+}
+
+// pick returns the k columns of cand with the largest u[j], ties to the
+// lower column, or cand itself when it holds no more than k. The result
+// is reused by the next call.
+func (t *tokenPicker) pick(cand []int32, u []float64, k int) []int32 {
+	if k >= len(cand) {
+		return cand
 	}
-	h = h[:0]
+	t.u = t.u[:0]
 	for _, j := range cand {
-		c := len(h)
-		if c < k {
-			h = append(h, j)
-			for c > 0 {
-				p := (c - 1) / 2
-				if !weaker(h[c], h[p]) {
-					break
-				}
-				h[c], h[p] = h[p], h[c]
-				c = p
-			}
-			continue
-		}
-		if !weaker(h[0], j) {
-			continue
-		}
-		h[0] = j
-		for p := 0; ; {
-			c := 2*p + 1
-			if c >= k {
-				break
-			}
-			if c+1 < k && weaker(h[c+1], h[c]) {
-				c++
-			}
-			if !weaker(h[c], h[p]) {
-				break
-			}
-			h[c], h[p] = h[p], h[c]
-			p = c
-		}
+		t.u = append(t.u, u[j])
 	}
-	return h
+	if len(t.idx) != k {
+		t.idx, t.score = make([]int32, k), make([]float64, k)
+	}
+	topk.Select(&t.sel, t.idx, t.score, cand, t.u)
+	return t.idx
 }
 
 // state is the candidate path's iterate: per-row candidate lists. Rows
@@ -336,10 +318,10 @@ type scratch struct {
 	stampR []int
 	token  []int // stamp marking token-matched columns
 	gen    int
-	vm     []int32 // support of accV
-	um     []int32 // support of accU
-	rm     []int32 // new row support
-	ord    []int32 // token-selection heap
+	vm     []int32     // support of accV
+	um     []int32     // support of accU
+	rm     []int32     // new row support
+	tok    tokenPicker // token choice
 }
 
 func newScratch(cols int) *scratch {
@@ -441,18 +423,6 @@ func (sc *scratch) updateRow(i int, s *state, gs, gt *graph.Graph, eps float64, 
 	}
 	sc.um = um
 
-	// Token matches: the tokenK strongest entries of U (ties to the
-	// lower column) receive the additive ε, which is what lets a column
-	// outside the current support become a candidate.
-	tm := um
-	if tokenK < len(um) {
-		sc.ord = topTokens(sc.ord, um, sc.accU, tokenK)
-		tm = sc.ord
-	}
-	for _, j := range tm {
-		sc.token[j] = gen
-	}
-
 	// New support: the old row plus the token matches, scored in
 	// ascending column order.
 	rm := sc.rm[:0]
@@ -462,7 +432,11 @@ func (sc *scratch) updateRow(i int, s *state, gs, gt *graph.Graph, eps float64, 
 		sc.val[j] = osc[c]
 		rm = append(rm, j)
 	}
-	for _, j := range tm {
+	// Token matches: the tokenK strongest entries of U (ties to the
+	// lower column) receive the additive ε, which is what lets a column
+	// outside the current support become a candidate.
+	for _, j := range sc.tok.pick(um, sc.accU, tokenK) {
+		sc.token[j] = gen
 		if sc.stampR[j] != gen {
 			sc.stampR[j] = gen
 			sc.val[j] = 0
