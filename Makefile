@@ -20,7 +20,9 @@ test:
 # The ANN index is the one subsystem with lock-free per-worker counters
 # merged across goroutines; run its suite explicitly under the race
 # detector (also covered by `test`, but kept addressable on its own so
-# index changes get a fast, targeted gate).
+# index changes get a fast, targeted gate). The index's exact path is
+# the blocked scan the `topk` backend runs, and that scan's bit-exact
+# tests live in this suite, so the target gates the `topk` backend too.
 test-ann:
 	$(GO) test -race -count=1 ./internal/ann/...
 

@@ -32,8 +32,9 @@ func embeddingPair(ns, nt, d int, seed int64) (*dense.Matrix, *dense.Matrix) {
 	return hs, ht
 }
 
-// TestANNExactnessEscapeHatch: with Probes ≥ 2^Bits the LSH generator is
-// bit-identical to the blocked exact scan, across sizes and seeds.
+// TestANNExactnessEscapeHatch: with Probes ≥ 2^Bits the LSH generator
+// runs the exact scan of a zero-bits index (the top-k backend), bit for
+// bit, across sizes and seeds.
 func TestANNExactnessEscapeHatch(t *testing.T) {
 	for _, n := range []int{1, 17, 64, 150} {
 		for seed := int64(1); seed <= 3; seed++ {
@@ -42,8 +43,8 @@ func TestANNExactnessEscapeHatch(t *testing.T) {
 			if k > n {
 				k = n
 			}
-			exact := TopKCandidates(hs, ht, k)
-			hatch := ANNCandidates(hs, ht, k, ann.Params{Bits: 4, Probes: 1 << 4, Seed: seed}, 2)
+			exact := exactCandidates(hs, ht, k)
+			hatch := (&annScratch{p: ann.Params{Bits: 4, Probes: 1 << 4, Seed: seed}}).topK(hs, ht, k, 2)
 			if !reflect.DeepEqual(exact, hatch) {
 				t.Fatalf("n=%d seed=%d: full-probe ANN deviates from exact top-k", n, seed)
 			}
@@ -68,9 +69,9 @@ func TestANNRecallProperty(t *testing.T) {
 			k := 32
 			bits := ann.AutoBits(tc.nt)
 			p := ann.Params{Bits: bits, Probes: ann.AutoProbes(bits), Seed: seed}
-			exact := TopKCandidates(hs, ht, k)
-			approx := ANNCandidates(hs, ht, k, p, 0)
-			rec := CandidateRecall(approx, exact)
+			exact := exactCandidates(hs, ht, k)
+			approx := (&annScratch{p: p}).topK(hs, ht, k, 0)
+			rec := candidateRecall(approx, exact)
 			if rec < worst {
 				worst = rec
 			}
@@ -90,9 +91,9 @@ func TestANNRecallApproximatePath(t *testing.T) {
 	hs, ht := embeddingPair(5000, 5000, 8, 3)
 	k := 32
 	p := ann.Params{Bits: 9, Probes: 144, Seed: 3} // 144 of 512 buckets
-	exact := TopKCandidates(hs, ht, k)
-	approx := ANNCandidates(hs, ht, k, p, 2)
-	rec := CandidateRecall(approx, exact)
+	exact := exactCandidates(hs, ht, k)
+	approx := (&annScratch{p: p}).topK(hs, ht, k, 2)
+	rec := candidateRecall(approx, exact)
 	t.Logf("approximate-path recall (144/512 buckets probed): %.4f", rec)
 	if rec < 0.95 {
 		t.Errorf("recall %.4f < 0.95 on the approximate path", rec)
@@ -167,7 +168,7 @@ func skewEmbeddings(ns, nt, d, r int, rho float64, seed int64) (*dense.Matrix, *
 // TestANNSkewBalancedPoolAndRecall is the align-level skew property,
 // swept across sizes and seeds: on collapse-skewed embeddings the
 // balanced index gathers ≥ 5× fewer pool rows per query than the
-// unbalanced index at equal bits/probes, while CandidateRecall against
+// unbalanced index at equal bits/probes, while candidateRecall against
 // the exact top-k stays ≥ 0.95.
 func TestANNSkewBalancedPoolAndRecall(t *testing.T) {
 	for _, tc := range []struct {
@@ -179,12 +180,14 @@ func TestANNSkewBalancedPoolAndRecall(t *testing.T) {
 		hs, ht := skewEmbeddings(tc.n, tc.n, 16, 4, 0.2, tc.seed)
 		k := 16
 		p := ann.Params{Bits: 11, Probes: 48, Seed: 23}
-		exact := TopKCandidates(hs, ht, k)
-		approx, stBal := ANNCandidatesStats(hs, ht, k, p, 0)
+		exact := exactCandidates(hs, ht, k)
+		bal := &annScratch{p: p}
+		approx := bal.topK(hs, ht, k, 0)
 		pu := p
 		pu.Unbalanced = true
-		_, stUnb := ANNCandidatesStats(hs, ht, k, pu, 0)
-		mb, mu := stBal.PoolRowsMean(), stUnb.PoolRowsMean()
+		unb := &annScratch{p: pu}
+		unb.topK(hs, ht, k, 0)
+		mb, mu := bal.stats().PoolRowsMean(), unb.stats().PoolRowsMean()
 		if mb <= 0 || mu <= 0 {
 			t.Fatalf("n=%d: pool stats missing (balanced %.1f, unbalanced %.1f)", tc.n, mb, mu)
 		}
@@ -192,25 +195,52 @@ func TestANNSkewBalancedPoolAndRecall(t *testing.T) {
 			t.Errorf("n=%d seed=%d: unbalanced mean pool %.1f not >= 5x balanced %.1f",
 				tc.n, tc.seed, mu, mb)
 		}
-		if rec := CandidateRecall(approx, exact); rec < 0.95 {
+		if rec := candidateRecall(approx, exact); rec < 0.95 {
 			t.Errorf("n=%d seed=%d: balanced recall on skewed embeddings %.4f < 0.95",
 				tc.n, tc.seed, rec)
 		}
 	}
 }
 
+// candidateRecall measures how much of the exact candidate set an
+// approximate one recovered: the fraction of (query, candidate) pairs of
+// `want` also present in `got`, pooled over all queries. 1.0 means every
+// exact top-k candidate survived the pruning.
+func candidateRecall(got, want *Candidates) float64 {
+	seen := make(map[int32]bool)
+	var hit, total int
+	for i, wantRow := range want.Idx {
+		clear(seen)
+		if i < len(got.Idx) {
+			for _, j := range got.Idx[i] {
+				seen[j] = true
+			}
+		}
+		for _, j := range wantRow {
+			total++
+			if seen[j] {
+				hit++
+			}
+		}
+	}
+	if total == 0 {
+		return 1
+	}
+	return float64(hit) / float64(total)
+}
+
 // TestCandidateRecall pins the metric itself.
 func TestCandidateRecall(t *testing.T) {
 	want := &Candidates{K: 2, Idx: [][]int32{{1, 2}, {3, 4}}, Score: [][]float64{{1, 1}, {1, 1}}}
 	got := &Candidates{K: 2, Idx: [][]int32{{2, 9}, {3, 4}}, Score: [][]float64{{1, 1}, {1, 1}}}
-	if rec := CandidateRecall(got, want); rec != 0.75 {
+	if rec := candidateRecall(got, want); rec != 0.75 {
 		t.Fatalf("recall = %v, want 0.75", rec)
 	}
-	if rec := CandidateRecall(want, want); rec != 1 {
+	if rec := candidateRecall(want, want); rec != 1 {
 		t.Fatalf("self recall = %v, want 1", rec)
 	}
 	empty := &Candidates{}
-	if rec := CandidateRecall(empty, empty); rec != 1 {
+	if rec := candidateRecall(empty, empty); rec != 1 {
 		t.Fatalf("empty recall = %v, want 1", rec)
 	}
 }
@@ -242,9 +272,9 @@ func TestFineTuneANNExactMatchesTopK(t *testing.T) {
 // TestTiedScoresAgreeAcrossBackends pins the tie rule of the candidate
 // lists. The target side repeats 8 distinct embedding rows 5 times, so
 // every query scores each group of copies exactly equal. On both
-// precision tiers the blocked scan and a full-probe ANN index must agree
-// entry for entry, scores must descend, and tied columns must come in
-// ascending order.
+// precision tiers a zero-bits index (the top-k backend) and a full-probe
+// ANN index must agree entry for entry, scores must descend, and tied
+// columns must come in ascending order.
 func TestTiedScoresAgreeAcrossBackends(t *testing.T) {
 	const distinct, copies, d = 8, 5, 6
 	rng := rand.New(rand.NewSource(3))
@@ -256,15 +286,15 @@ func TestTiedScoresAgreeAcrossBackends(t *testing.T) {
 	hs := randomEmbeddings(10, d, rng)
 	p := ann.Params{Bits: 4, Probes: 1 << 4, Seed: 1}
 	for _, k := range []int{3, 7, 12, 40} {
-		var ts topkScratch
-		var ts32 topkScratch32
+		var ts annScratch
+		var ts32 annScratch32
 		tiers := [][2]*Candidates{
 			{ts.topK(hs, ht, k, 2), (&annScratch{p: p}).topK(hs, ht, k, 2)},
 			{ts32.topK(hs, ht, k, 2), (&annScratch32{p: p}).topK(hs, ht, k, 2)},
 		}
 		for tier, c := range tiers {
 			if !reflect.DeepEqual(c[0], c[1]) {
-				t.Fatalf("k=%d tier %d: full-probe ANN deviates from the blocked scan", k, tier)
+				t.Fatalf("k=%d tier %d: full-probe ANN deviates from the zero-bits index", k, tier)
 			}
 			ties := 0
 			for i, idx := range c[0].Idx {

@@ -8,11 +8,9 @@ import (
 )
 
 // TestF32FullProbeANNMatchesTopK32: the float32 tier carries the
-// exactness escape hatch — with Probes ≥ 2^Bits the f32 LSH generator is
-// bit-identical to the f32 blocked exact scan, across sizes and seeds.
-// This is what the shared store-then-widen rounding convention buys: both
-// paths accumulate in float64, round every score to float32 on store and
-// compare the widened value.
+// exactness escape hatch — with Probes ≥ 2^Bits the f32 LSH index runs
+// the exact scan of a zero-bits f32 index (the top-k backend), bit for
+// bit, across sizes and seeds.
 func TestF32FullProbeANNMatchesTopK32(t *testing.T) {
 	for _, n := range []int{1, 17, 64, 150} {
 		for seed := int64(1); seed <= 3; seed++ {
@@ -21,7 +19,7 @@ func TestF32FullProbeANNMatchesTopK32(t *testing.T) {
 			if k > n {
 				k = n
 			}
-			var ts topkScratch32
+			var ts annScratch32
 			exact := ts.topK(hs, ht, k, 2)
 			as := &annScratch32{p: ann.Params{Bits: 4, Probes: 1 << 4, Seed: seed}}
 			hatch := as.topK(hs, ht, k, 2)
@@ -45,11 +43,11 @@ func TestANNRecallPropertyF32(t *testing.T) {
 			hs, ht := embeddingPair(tc.ns, tc.nt, 8, seed)
 			k := 32
 			bits := ann.AutoBits(tc.nt)
-			var ts topkScratch32
+			var ts annScratch32
 			exact := ts.topK(hs, ht, k, 0)
 			as := &annScratch32{p: ann.Params{Bits: bits, Probes: ann.AutoProbes(bits), Seed: seed}}
 			approx := as.topK(hs, ht, k, 0)
-			rec := CandidateRecall(approx, exact)
+			rec := candidateRecall(approx, exact)
 			if rec < worst {
 				worst = rec
 			}
@@ -71,11 +69,11 @@ func TestTopK32RecallVsF64(t *testing.T) {
 		for seed := int64(1); seed <= 3; seed++ {
 			hs, ht := embeddingPair(n, n, 8, seed)
 			k := 16
-			var f64s topkScratch
-			var f32s topkScratch32
+			var f64s annScratch
+			var f32s annScratch32
 			exact := f64s.topK(hs, ht, k, 2)
 			half := f32s.topK(hs, ht, k, 2)
-			if rec := CandidateRecall(half, exact); rec < 0.95 {
+			if rec := candidateRecall(half, exact); rec < 0.95 {
 				t.Errorf("n=%d seed=%d: f32 top-k recall vs f64 %.4f < 0.95", n, seed, rec)
 			}
 		}

@@ -31,22 +31,23 @@ type FineTuneConfig struct {
 	// orbit a slice of the budget; results are identical for every count.
 	Workers int
 	// TopK selects the similarity backend: 0 runs the dense ns×nt path;
-	// k ≥ 1 runs the blocked top-k candidate path, holding O(n·k) scores
-	// instead of O(n²). With k ≥ nt (and k ≥ ns for the backward
-	// direction) the two backends are bit-identical; smaller k trades
-	// exactness for bounded memory.
+	// k ≥ 1 runs the top-k candidate path, holding O(n·k) scores instead
+	// of O(n²). Its candidates come from an internal/ann index, which
+	// with zero Ann params is the exact blocked scan. With k ≥ nt (and
+	// k ≥ ns for the backward direction) the two backends are
+	// bit-identical; smaller k trades exactness for bounded memory.
 	TopK int
-	// Ann, when its Bits are positive (and TopK ≥ 1), swaps the blocked
-	// exact candidate scan for the LSH generator of internal/ann:
-	// compute drops from O(ns·nt) score cells to hashing plus an exact
-	// re-rank of each node's probed pool. Everything downstream —
-	// hubness, LISI, trusted pairs, integration — runs unchanged on the
-	// candidate lists, and with Probes ≥ 2^Bits the loop is
-	// bit-identical to the exact top-k path.
+	// Ann parameterises that index (with TopK ≥ 1). Positive Bits make
+	// it the LSH generator: compute drops from O(ns·nt) score cells to
+	// hashing plus an exact re-rank of each node's probed pool.
+	// Everything downstream — hubness, LISI, trusted pairs, integration —
+	// runs unchanged on the candidate lists, and with Probes ≥ 2^Bits
+	// the index runs the exact scan of zero Params. Index statistics are
+	// reported only when Bits are positive.
 	Ann ann.Params
-	// F32 runs the candidate generators on the float32 compute tier:
-	// each iteration's embeddings are converted once (fused with the
-	// center/normalize pass) into half-width copies, and projection,
+	// F32 runs the candidate index on the float32 compute tier: each
+	// iteration's embeddings are converted once (fused with the
+	// center/normalize pass) into half-width copies, and the exact scan,
 	// hashing and re-rank read float32 values with float64 accumulators.
 	// Candidate scores widen monotonically back to float64, so the loop
 	// body is tier-independent. Only meaningful with TopK ≥ 1 — the
@@ -129,8 +130,8 @@ func FineTune(enc *nn.Encoder, lapS, lapT *sparse.CSR, xs, xt *dense.Matrix, cfg
 	// only made once reinforcement actually changes rs/rt — single-pass
 	// callers embed straight through the originals), the embeddings live
 	// in two forward caches, and the similarity working set sits in the
-	// backend's scratch (simScratch for dense, two topkScratches for the
-	// blocked candidate path).
+	// backend's scratch (simScratch for dense, one candidate scratch per
+	// direction for the top-k path).
 	var scaledS, scaledT *sparse.CSR
 	var cacheS, cacheT nn.Cache
 	reinforced := len(cfg.KnownPairs) > 0
@@ -160,49 +161,26 @@ func FineTune(enc *nn.Encoder, lapS, lapT *sparse.CSR, xs, xt *dense.Matrix, cfg
 	var score func(hs, ht *dense.Matrix) (Sim, [][2]int)
 	var keep func(Sim)
 	if cfg.TopK > 0 {
-		// Both candidate generators emit the same structure under the
-		// same ordering contract, so the loop body below serves the
-		// exact blocked scan and the LSH index alike — each direction
-		// keeps its own scratch across iterations.
-		var fwdGen, bwdGen func(a, b *dense.Matrix) *Candidates
-		switch {
-		case cfg.Ann.Bits > 0 && cfg.F32:
-			fa := &annScratch32{p: cfg.Ann}
-			ba := &annScratch32{p: cfg.Ann}
-			fwdGen = func(a, b *dense.Matrix) *Candidates { return fa.topK(a, b, cfg.TopK, w) }
-			bwdGen = func(a, b *dense.Matrix) *Candidates { return ba.topK(a, b, cfg.TopK, w) }
-			defer func() {
-				st := fa.stats()
-				st.Merge(ba.stats())
-				res.AnnStats = &st
-			}()
-		case cfg.Ann.Bits > 0:
-			fa := &annScratch{p: cfg.Ann}
-			ba := &annScratch{p: cfg.Ann}
-			fwdGen = func(a, b *dense.Matrix) *Candidates { return fa.topK(a, b, cfg.TopK, w) }
-			bwdGen = func(a, b *dense.Matrix) *Candidates { return ba.topK(a, b, cfg.TopK, w) }
-			defer func() {
-				st := fa.stats()
-				st.Merge(ba.stats())
-				res.AnnStats = &st
-			}()
-		case cfg.F32:
-			var fs, bs topkScratch32
-			fwdGen = func(a, b *dense.Matrix) *Candidates { return fs.topK(a, b, cfg.TopK, w) }
-			bwdGen = func(a, b *dense.Matrix) *Candidates { return bs.topK(a, b, cfg.TopK, w) }
-		default:
-			var fs, bs topkScratch
-			fwdGen = func(a, b *dense.Matrix) *Candidates { return fs.topK(a, b, cfg.TopK, w) }
-			bwdGen = func(a, b *dense.Matrix) *Candidates { return bs.topK(a, b, cfg.TopK, w) }
+		// Each direction keeps one index across iterations: the exact
+		// blocked scan under zero Ann params, the LSH generator under
+		// positive bits. Both emit the same structure under the same
+		// ordering contract, so the loop body below serves either.
+		var lisi candLISI
+		var fwdGen, bwdGen candScratch = &annScratch{p: cfg.Ann}, &annScratch{p: cfg.Ann}
+		if cfg.F32 {
+			fwdGen, bwdGen = &annScratch32{p: cfg.Ann}, &annScratch32{p: cfg.Ann}
 		}
-		var dt, ds []float64
+		if cfg.Ann.Bits > 0 {
+			defer func() {
+				st := fwdGen.stats()
+				st.Merge(bwdGen.stats())
+				res.AnnStats = &st
+			}()
+		}
 		score = func(hs, ht *dense.Matrix) (Sim, [][2]int) {
-			fwd := fwdGen(hs, ht)
-			bwd := bwdGen(ht, hs)
-			dt = topMeansInto(dt, fwd, cfg.M)
-			ds = topMeansInto(ds, bwd, cfg.M)
-			pairs := trustedPairsCands(fwd, bwd, dt, ds)
-			lisiTransform(fwd, dt, ds)
+			bwd := bwdGen.topK(ht, hs, cfg.TopK, w)
+			fwd := fwdGen.topK(hs, ht, cfg.TopK, w)
+			pairs := lisi.pairs(fwd, bwd, cfg.M)
 			return &TopKSim{C: fwd, Cols: ht.Rows}, pairs
 		}
 		keep = func(s Sim) { res.Sim = s }

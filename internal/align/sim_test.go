@@ -30,13 +30,9 @@ func fullTopKSim(m *dense.Matrix) *TopKSim {
 // topKLISISim runs the sparse fine-tune scoring step at candidate count k:
 // forward/backward candidates, hubness estimates, LISI transform.
 func topKLISISim(hs, ht *dense.Matrix, k, m int) (*TopKSim, [][2]int) {
-	var fs, bs topkScratch
-	fwd := fs.topK(hs, ht, k, 0)
-	bwd := bs.topK(ht, hs, k, 0)
-	dt := topMeansInto(nil, fwd, m)
-	ds := topMeansInto(nil, bwd, m)
-	pairs := trustedPairsCands(fwd, bwd, dt, ds)
-	lisiTransform(fwd, dt, ds)
+	fwd := exactCandidates(hs, ht, k)
+	bwd := exactCandidates(ht, hs, k)
+	pairs := (&candLISI{}).pairs(fwd, bwd, m)
 	return &TopKSim{C: fwd, Cols: ht.Rows}, pairs
 }
 
@@ -253,7 +249,7 @@ func TestTopKCandidatesWorkersIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	hs := randomEmbeddings(300, 5, rng)
 	ht := randomEmbeddings(90, 5, rng)
-	var s1, s4 topkScratch
+	var s1, s4 annScratch
 	a := s1.topK(hs, ht, 7, 1)
 	b := s4.topK(hs, ht, 7, 4)
 	for i := range a.Idx {

@@ -4,7 +4,9 @@
 // trusted pairs (Eq. 12), the trusted-pair fine-tuning loop of Algorithm 2
 // (Eq. 13–14) and the posterior importance integration of Eq. 15.
 //
-// The top-k and ANN candidate generators keep each node's k best
+// The top-k and ANN backends draw candidates from one internal/ann index
+// per direction: with zero parameters it is the exact blocked scan, with
+// positive bits the LSH generator. Either keeps each node's k best
 // counterparts through internal/topk: a larger score first, equal scores
 // to the lower index, the order SortRowDesc sorts by.
 package align

@@ -9,6 +9,12 @@ import (
 	"github.com/htc-align/htc/internal/dense"
 )
 
+// exactCandidates runs the top-k backend's candidate scan once: a
+// zero-bits index, every target row scored against every source row.
+func exactCandidates(hs, ht *dense.Matrix, k int) *Candidates {
+	return (&annScratch{}).topK(hs, ht, k, 0)
+}
+
 func randomEmbeddings(n, d int, rng *rand.Rand) *dense.Matrix {
 	m := dense.New(n, d)
 	for i := range m.Data {
@@ -24,7 +30,7 @@ func TestTopKCandidatesMatchesDense(t *testing.T) {
 		hs := randomEmbeddings(ns, d, rng)
 		ht := randomEmbeddings(nt, d, rng)
 		k := 1 + rng.Intn(nt)
-		cands := TopKCandidates(hs, ht, k)
+		cands := exactCandidates(hs, ht, k)
 		corr := Corr(hs, ht)
 		for i := 0; i < ns; i++ {
 			if len(cands.Idx[i]) != k {
@@ -66,7 +72,7 @@ func TestTopKCandidatesBlockBoundary(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	hs := randomEmbeddings(300, 4, rng)
 	ht := randomEmbeddings(40, 4, rng)
-	cands := TopKCandidates(hs, ht, 3)
+	cands := exactCandidates(hs, ht, 3)
 	corr := Corr(hs, ht)
 	for _, i := range []int{0, 255, 256, 299} {
 		row := corr.Row(i)
@@ -84,7 +90,7 @@ func TestTopKCandidatesBlockBoundary(t *testing.T) {
 
 func TestTopKCandidatesClampsK(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
-	cands := TopKCandidates(randomEmbeddings(5, 3, rng), randomEmbeddings(4, 3, rng), 99)
+	cands := exactCandidates(randomEmbeddings(5, 3, rng), randomEmbeddings(4, 3, rng), 99)
 	if cands.K != 4 || len(cands.Idx[0]) != 4 {
 		t.Fatalf("k not clamped: %d", cands.K)
 	}
@@ -96,7 +102,7 @@ func TestTopKCandidatesBadKPanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	TopKCandidates(dense.New(2, 2), dense.New(2, 2), 0)
+	exactCandidates(dense.New(2, 2), dense.New(2, 2), 0)
 }
 
 // TestTrustedPairsTopKFullEqualsDense: with k = n and the same m, the
@@ -110,9 +116,9 @@ func TestTrustedPairsTopKFullEqualsDense(t *testing.T) {
 		ht := randomEmbeddings(nt, d, rng)
 		m := 1 + rng.Intn(4)
 
-		forward := TopKCandidates(hs, ht, nt)
-		backward := TopKCandidates(ht, hs, ns)
-		sparsePairs := TrustedPairsTopK(forward, backward, m)
+		forward := exactCandidates(hs, ht, nt)
+		backward := exactCandidates(ht, hs, ns)
+		sparsePairs := trustedPairsCands(forward, backward, topMeansInto(nil, forward, m), topMeansInto(nil, backward, m))
 
 		densePairs := TrustedPairs(LISI(Corr(hs, ht), m))
 		if len(sparsePairs) != len(densePairs) {
@@ -132,7 +138,8 @@ func TestTrustedPairsTopKFullEqualsDense(t *testing.T) {
 
 func TestSparseLISIEmptyCandidates(t *testing.T) {
 	c := &Candidates{K: 1, Idx: [][]int32{nil}, Score: [][]float64{nil}}
-	best := SparseLISI(c, c, 3)
+	d := topMeansInto(nil, c, 3)
+	best := sparseBest(c, d, d, false)
 	if best[0] != -1 {
 		t.Fatalf("empty candidate list must map to -1, got %d", best[0])
 	}
@@ -145,6 +152,6 @@ func BenchmarkTopKCandidates(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		TopKCandidates(hs, ht, 20)
+		exactCandidates(hs, ht, 20)
 	}
 }

@@ -3,10 +3,12 @@
 // of a dense matrix. Rows hash into 2^Bits buckets by the sign pattern of
 // Bits random projections; a query scans its own bucket plus the
 // cheapest perturbed buckets in multi-probe order (Lv et al., VLDB'07)
-// and exactly re-ranks the gathered pool by inner product. Probing every
-// bucket degrades gracefully into a brute-force scan, which is the
-// exactness escape hatch: a full-probe index reproduces the blocked
-// exact top-k scan bit for bit.
+// and exactly re-ranks the gathered pool by inner product. An index with
+// zero bits, or whose probes cover every bucket (the exactness escape
+// hatch), hashes nothing and runs the exact blocked scan: each block of
+// queries is scored against every fitted row by one dense product and
+// each query keeps its k best. That scan is the aligner's one exact
+// top-k: the "topk" backend runs a zero-bits index.
 //
 // The hash is data-aware: the index centers the fitted rows and draws
 // its hyperplanes through a sampled-covariance whitening rotation, so
@@ -29,9 +31,8 @@
 // bucket assembly is a stable counting sort, probe order breaks cost
 // ties by perturbation mask, and re-ranking scores every candidate with
 // the same sequential dot product as the dense kernel, so results are
-// identical for every worker count. The re-rank keeps the k best through
-// internal/topk, the selector of the blocked scan, so equal pools give
-// equal output.
+// identical for every worker count. The re-rank and the exact scan keep
+// the k best through internal/topk, so equal pools give equal output.
 package ann
 
 import (
@@ -52,14 +53,15 @@ const MaxBits = 20
 // Params fix an index's geometry. The align/core layers resolve zero
 // values to AutoBits/AutoProbes before building an index.
 type Params struct {
-	// Bits is the code width b ∈ [1, MaxBits]: rows hash into 2^b
-	// buckets by the sign pattern of b random projections.
+	// Bits is the code width b ∈ [0, MaxBits]: rows hash into 2^b
+	// buckets by the sign pattern of b random projections. Zero bits
+	// hash nothing: the index is the exact blocked scan.
 	Bits int
 	// Probes is the minimum number of buckets scanned per query, visited
 	// in multi-probe order (cheapest perturbations of the query's own
 	// code first). A query keeps probing past this floor until it has
 	// gathered at least k candidates, so result rows are always full.
-	// Probes ≥ 2^Bits selects the brute-force exact path.
+	// Probes ≥ 2^Bits selects the exact blocked scan.
 	Probes int
 	// PoolCap, when positive, bounds the candidate pool gathered per
 	// query to max(k, PoolCap) rows: buckets arrive in margin order
@@ -75,10 +77,6 @@ type Params struct {
 	// indexes.
 	Seed int64
 }
-
-// Exact reports whether the parameters probe every bucket, i.e. select
-// the brute-force scan that reproduces the exact top-k bit for bit.
-func (p Params) Exact() bool { return p.Probes >= 1<<p.Bits }
 
 // AutoBits picks a code width for n indexed rows, targeting a mean
 // bucket occupancy of ~16 rows and clamping to [4, MaxBits].
@@ -104,10 +102,9 @@ func AutoProbes(bits int) int {
 }
 
 // Result holds every query's top-k ids and scores; rows are sorted by
-// descending score with ties broken by lower id — the same order the
-// exact blocked scan produces. All rows share two backing arrays, and
-// the layout mirrors align.Candidates so that layer can adopt the
-// slices without copying.
+// descending score with ties broken by lower id. All rows share two
+// backing arrays, and the layout mirrors align.Candidates so that layer
+// can convert a *Result to its own type without copying.
 type Result struct {
 	K     int
 	Idx   [][]int32
@@ -148,14 +145,18 @@ type Index struct {
 // New validates the parameters and returns an empty index; Fit must run
 // before TopK.
 func New(p Params) *Index {
-	if p.Bits < 1 || p.Bits > MaxBits {
-		panic(fmt.Sprintf("ann: Bits = %d outside [1, %d]", p.Bits, MaxBits))
+	if p.Bits < 0 || p.Bits > MaxBits {
+		panic(fmt.Sprintf("ann: Bits = %d outside [0, %d]", p.Bits, MaxBits))
 	}
-	if p.Probes < 1 {
+	if p.Bits > 0 && p.Probes < 1 {
 		panic(fmt.Sprintf("ann: Probes = %d < 1", p.Probes))
 	}
 	return &Index{p: p}
 }
+
+// Exact reports whether the parameters select the exact blocked scan:
+// zero bits, or probes that cover every bucket.
+func (p Params) Exact() bool { return p.Bits == 0 || p.Probes >= 1<<p.Bits }
 
 // Params returns the index geometry.
 func (ix *Index) Params() Params { return ix.p }
@@ -170,7 +171,7 @@ func (ix *Index) Stats() Stats {
 
 // Fit (re)hashes the rows of data into the index. The matrix is
 // borrowed: it must stay unmodified until the next Fit. On the exact
-// path hashing is skipped entirely — a full-probe query scans every row
+// path hashing is skipped entirely — the exact scan scores every row
 // anyway.
 //
 // The first Fit freezes the hash geometry: hyperplanes are drawn from
@@ -238,7 +239,7 @@ func (ix *Index) begin(n, d int) (hash, fresh bool) {
 // The projection kernels are deterministic for every worker count, so
 // the codes are too.
 func (ix *Index) encode(workers int) {
-	ix.codes = growInt32sAsU32(ix.codes, ix.n)
+	ix.codes = resize(ix.codes, ix.n)
 	par.For(workers, ix.n, ix.p.Bits, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			var c uint32
@@ -259,8 +260,8 @@ func (ix *Index) encode(workers int) {
 // bucket — and refreshes the last-fit occupancy statistics.
 func (ix *Index) buildBuckets() {
 	nb := 1 << ix.p.Bits
-	ix.start = growInt32s(ix.start, nb+1)
-	ix.cursor = growInt32s(ix.cursor, nb)
+	ix.start = resize(ix.start, nb+1)
+	ix.cursor = resize(ix.cursor, nb)
 	for i := range ix.start[:nb+1] {
 		ix.start[i] = 0
 	}
@@ -271,7 +272,7 @@ func (ix *Index) buildBuckets() {
 		ix.start[b+1] += ix.start[b]
 	}
 	copy(ix.cursor, ix.start[:nb])
-	ix.order = growInt32s(ix.order, ix.n)
+	ix.order = resize(ix.order, ix.n)
 	for i, c := range ix.codes[:ix.n] {
 		ix.order[ix.cursor[c]] = int32(i)
 		ix.cursor[c]++
@@ -295,44 +296,67 @@ func (ix *Index) buildBuckets() {
 	}
 }
 
-// annBlockRows sizes the per-worker query batches of TopK.
+// annBlockRows sizes the per-worker query batches of the hashed path.
 const annBlockRows = 128
+
+// exactBlockFloats bounds one score block of the exact scan: 2¹⁹ floats
+// = 4 MiB at float64, so a block stays cache-friendly and the
+// per-worker scratch of a wide fan-out stays bounded even over very
+// many fitted rows.
+const exactBlockFloats = 1 << 19
+
+// exactBlockRows sizes the exact scan's query blocks for n fitted rows.
+func exactBlockRows(n int) int {
+	if n < 1 {
+		return 256
+	}
+	return min(max(exactBlockFloats/n, 16), 256)
+}
 
 // TopK returns, for every query row, its k best fitted rows by inner
 // product, each result row sorted descending (ties by lower id). k is
 // clamped to the fitted row count; every result row then holds exactly k
 // entries — queries keep probing past the Probes floor until their pool
-// reaches k. Results are bit-identical for every worker count, and on
-// the exact path bit-identical to the blocked exact scan.
+// reaches k. Results are bit-identical for every worker count.
 func (ix *Index) TopK(queries *dense.Matrix, k, workers int) *Result {
-	return ix.topk(queries.Rows, k, workers, func(s *searcher, r, kk int, outIdx []int32, outScore []float64) {
-		ix.search(s, queries.Row(r), nil, kk, outIdx, outScore)
+	return ix.topk(queries.Rows, k, workers, func(s *searcher, lo, hi int, out *Result) {
+		if ix.p.Exact() {
+			ix.scan(s, queries, nil, lo, hi, out)
+			return
+		}
+		for r := lo; r < hi; r++ {
+			ix.search(s, queries.Row(r), nil, out.K, out.Idx[r], out.Score[r])
+		}
 	})
 }
 
 // TopK32 answers batched queries on the float32 tier, against an index
 // fitted with Fit32. The probe machinery is shared with TopK; only the
-// three row-scoring points (query projection, sub-bucket projection,
-// exact re-rank) read half-width values, each with a float64
-// accumulator. Re-rank scores round to float32 before the final widen —
-// the same store semantics as dense.MulBTInto32 — so a full-probe
-// float32 index reproduces the blocked float32 top-k scan bit for bit.
+// row-scoring points (query projection, sub-bucket projection, re-rank,
+// exact scan) read half-width values, each with a float64 accumulator.
+// Scores round to float32 before the final widen — the store semantics
+// of dense.MulBTInto32, which scores the exact path — so the re-rank and
+// the exact scan rank equal rows alike.
 func (ix *Index) TopK32(queries *dense.Matrix32, k, workers int) *Result {
-	return ix.topk(queries.Rows, k, workers, func(s *searcher, r, kk int, outIdx []int32, outScore []float64) {
-		ix.search(s, nil, queries.Row(r), kk, outIdx, outScore)
+	return ix.topk(queries.Rows, k, workers, func(s *searcher, lo, hi int, out *Result) {
+		if ix.p.Exact() {
+			ix.scan(s, nil, queries, lo, hi, out)
+			return
+		}
+		for r := lo; r < hi; r++ {
+			ix.search(s, nil, queries.Row(r), out.K, out.Idx[r], out.Score[r])
+		}
 	})
 }
 
 // topk is the tier-agnostic batching wrapper behind TopK/TopK32: result
 // allocation, pool-cap resolution, worker scratch, block sharding and
-// the deterministic stats fold.
-func (ix *Index) topk(nq, k, workers int, query func(s *searcher, r, k int, outIdx []int32, outScore []float64)) *Result {
+// the deterministic stats fold. answer fills queries lo..hi-1 of out.
+func (ix *Index) topk(nq, k, workers int, answer func(s *searcher, lo, hi int, out *Result)) *Result {
 	if k < 1 {
 		panic(fmt.Sprintf("ann: TopK k = %d < 1", k))
 	}
-	if k > ix.n {
-		k = ix.n
-	}
+	k = min(k, ix.n)
 	out := &Result{
 		K:     k,
 		Idx:   make([][]int32, nq),
@@ -349,16 +373,14 @@ func (ix *Index) topk(nq, k, workers int, query func(s *searcher, r, k int, outI
 	}
 	pcap := 0
 	if ix.p.PoolCap > 0 {
-		pcap = ix.p.PoolCap
-		if pcap < k {
-			pcap = k
-		}
+		pcap = max(ix.p.PoolCap, k)
 	}
-	nBlocks := (nq + annBlockRows - 1) / annBlockRows
-	w := par.Resolve(workers)
-	if w > nBlocks {
-		w = nBlocks
+	blockRows := annBlockRows
+	if ix.p.Exact() {
+		blockRows = exactBlockRows(ix.n)
 	}
+	nBlocks := (nq + blockRows - 1) / blockRows
+	w := min(par.Resolve(workers), nBlocks)
 	if len(ix.workers) < w {
 		ix.workers = append(ix.workers, make([]searcher, w-len(ix.workers))...)
 	}
@@ -368,15 +390,8 @@ func (ix *Index) topk(nq, k, workers int, query func(s *searcher, r, k int, outI
 		s.queries, s.poolRows, s.maxPool = 0, 0, 0
 	}
 	par.Sharded(w, nBlocks, func(worker, blk int) {
-		s := &ix.workers[worker]
-		lo := blk * annBlockRows
-		hi := lo + annBlockRows
-		if hi > nq {
-			hi = nq
-		}
-		for r := lo; r < hi; r++ {
-			query(s, r, k, out.Idx[r], out.Score[r])
-		}
+		lo := blk * blockRows
+		answer(&ix.workers[worker], lo, min(lo+blockRows, len(out.Idx)), out)
 	})
 	// Fold the per-worker counters into the index stats. Integer sums
 	// are order-independent, so the totals are deterministic for every
@@ -390,6 +405,41 @@ func (ix *Index) topk(nq, k, workers int, query func(s *searcher, r, k int, outI
 		}
 	}
 	return out
+}
+
+// scan answers queries lo..hi-1 on the exact path: one dense product
+// scores the block against every fitted row — each score a sequential
+// dot product in column order, rounded to float32 on store on the f32
+// tier — and each query keeps its k best, counting every fitted row as
+// its pool. Exactly one of q/q32 is non-nil and selects the tier.
+func (ix *Index) scan(s *searcher, q *dense.Matrix, q32 *dense.Matrix32, lo, hi int, out *Result) {
+	rows, n := hi-lo, ix.n
+	if q != nil {
+		d := q.Cols
+		s.scores = resize(s.scores, rows*n)
+		dense.MulBTInto(&dense.Matrix{Rows: rows, Cols: n, Data: s.scores},
+			&dense.Matrix{Rows: rows, Cols: d, Data: q.Data[lo*d : hi*d]}, ix.data, 1)
+		selectRows(&s.sel, s.scores, n, lo, out)
+	} else {
+		d := q32.Cols
+		s.scores32 = resize(s.scores32, rows*n)
+		dense.MulBTInto32(&dense.Matrix32{Rows: rows, Cols: n, Data: s.scores32},
+			&dense.Matrix32{Rows: rows, Cols: d, Data: q32.Data[lo*d : hi*d]}, ix.data32, 1)
+		selectRows(&s.sel, s.scores32, n, lo, out)
+	}
+	s.queries += int64(rows)
+	s.poolRows += int64(rows * n)
+	if n > s.maxPool {
+		s.maxPool = n
+	}
+}
+
+// selectRows keeps the k best of every row of a scored block: row r of
+// sc, n scores, answers query lo+r.
+func selectRows[F float32 | float64](sel *topk.Selector, sc []F, n, lo int, out *Result) {
+	for r := range len(sc) / n {
+		topk.Select(sel, out.Idx[lo+r], out.Score[lo+r], nil, sc[r*n:r*n+n])
+	}
 }
 
 // searcher is one worker's private query scratch.
@@ -414,9 +464,12 @@ type searcher struct {
 	q   []float64 // current query row (borrowed during one search; nil on the f32 tier)
 	q32 []float32 // current f32-tier query row (exactly one of q/q32 is set)
 	cap int       // effective pool cap for this TopK call (0 = none)
-	// scores holds the re-rank scores of the pool, selected from by sel.
-	scores []float64
-	sel    topk.Selector
+	// scores holds the re-rank scores of the pool, or on the exact path
+	// one block of queries scored against every fitted row (scores32 on
+	// the f32 tier); sel selects from them.
+	scores   []float64
+	scores32 []float32
+	sel      topk.Selector
 
 	queries  int64 // per-TopK stat accumulators
 	poolRows int64
@@ -446,18 +499,14 @@ func (s *searcher) wantMore(k, probed, floor int) bool {
 	return probed < floor || len(s.pool) < k
 }
 
-// search fills one query's k best rows. The approximate path hashes the
+// search fills one query's k best rows on the hashed path: it hashes the
 // query, walks buckets in multi-probe order until it has probed the
 // configured count and gathered ≥ k candidates, and exactly re-ranks the
-// pool; the exact path scans every row. Exactly one of q/q32 is non-nil
-// and selects the precision tier — both tiers share every structural
-// step and differ only where a row is scored.
+// pool. Exactly one of q/q32 is non-nil and selects the precision tier —
+// both tiers share every structural step and differ only where a row is
+// scored.
 func (ix *Index) search(s *searcher, q []float64, q32 []float32, k int, outIdx []int32, outScore []float64) {
 	s.queries++
-	if ix.p.Exact() {
-		ix.rerank(s, q, q32, nil, outIdx, outScore)
-		return
-	}
 	s.q = q
 	s.q32 = q32
 	nbits := ix.p.Bits
@@ -527,44 +576,35 @@ func (ix *Index) search(s *searcher, q []float64, q32 []float32, k int, outIdx [
 	for di := 0; di+1 < len(s.deferred) && len(s.pool) < k; di += 2 {
 		s.take(ix.order[s.deferred[di]:s.deferred[di+1]])
 	}
-	ix.rerank(s, q, q32, s.pool, outIdx, outScore)
+	ix.rerank(s, q, q32, outIdx, outScore)
 }
 
 // rerank counts the pool in the searcher's stats, scores every pool row
 // against the query by sequential dot product (the dense kernel's
 // per-cell association) and selects the k = len(outIdx) best through
-// topk.Select. A nil pool is every fitted row: the exact full scan. On
-// the f32 tier a score accumulates in float64 and rounds to float32
-// before it widens, as dense.MulBTInto32 stores it, so a full-probe f32
-// index agrees bit for bit with the blocked f32 scan.
-func (ix *Index) rerank(s *searcher, q []float64, q32 []float32, pool []int32, outIdx []int32, outScore []float64) {
-	n := len(pool)
-	if pool == nil {
-		n = ix.n
-	}
+// topk.Select. On the f32 tier a score accumulates in float64 and rounds
+// to float32 before it widens, as dense.MulBTInto32 stores it.
+func (ix *Index) rerank(s *searcher, q []float64, q32 []float32, outIdx []int32, outScore []float64) {
+	n := len(s.pool)
 	s.poolRows += int64(n)
 	if n > s.maxPool {
 		s.maxPool = n
 	}
 	sc := resize(s.scores, n)
-	for p := range sc {
-		j := p
-		if pool != nil {
-			j = int(pool[p])
-		}
+	for p, j := range s.pool {
 		if q32 != nil {
-			row := ix.data32.Row(j)
+			row := ix.data32.Row(int(j))
 			var v float64
 			for i, qv := range q32 {
 				v += float64(qv) * float64(row[i])
 			}
 			sc[p] = float64(float32(v))
 		} else {
-			sc[p] = dot(q, ix.data.Row(j))
+			sc[p] = dot(q, ix.data.Row(int(j)))
 		}
 	}
 	s.scores = sc
-	topk.Select(&s.sel, outIdx, outScore, pool, sc)
+	topk.Select(&s.sel, outIdx, outScore, s.pool, sc)
 }
 
 // gather appends one bucket's rows to the candidate pool. Buckets
@@ -741,9 +781,9 @@ func probeLess(c1 float64, m1 uint32, c2 float64, m2 uint32) bool {
 }
 
 // dot is the sequential inner product — the exact association the dense
-// kernel uses per cell, which is what makes full-probe results
-// bit-identical to the blocked scan, and a query's code bit-identical
-// to the batch projection of an equal fitted row.
+// kernel uses per cell, so a re-ranked score equals the exact scan's
+// score of the same pair, and a query's code is bit-identical to the
+// batch projection of an equal fitted row.
 func dot(a, b []float64) float64 {
 	var s float64
 	for i, v := range a {
@@ -765,26 +805,9 @@ func dot32(a []float32, b []float64) float64 {
 }
 
 // resize returns a slice of exactly n elements, reusing capacity.
-func resize(s []float64, n int) []float64 {
+func resize[T any](s []T, n int) []T {
 	if cap(s) < n {
-		return make([]float64, n)
-	}
-	return s[:n]
-}
-
-// growInt32s returns an int32 slice of exactly n elements, reusing
-// capacity.
-func growInt32s(s []int32, n int) []int32 {
-	if cap(s) < n {
-		return make([]int32, n)
-	}
-	return s[:n]
-}
-
-// growInt32sAsU32 is growInt32s for uint32 slices.
-func growInt32sAsU32(s []uint32, n int) []uint32 {
-	if cap(s) < n {
-		return make([]uint32, n)
+		return make([]T, n)
 	}
 	return s[:n]
 }

@@ -78,6 +78,50 @@ func TestExactPathMatchesBruteForce(t *testing.T) {
 	}
 }
 
+// TestExactScanPinnedBits pins the exact scan's bits on both tiers: the
+// SHA-256 of a full-probe index's answers for k ∈ {1, 7, n}, over 600
+// queries that split unevenly into query blocks (256 + 256 + 88 rows of
+// the blocked scan), for workers 1, 2 and 3. The digests were computed at
+// commit 62dfd54, whose exact path re-ranked every fitted row one query
+// at a time. A zero-bits index is the same exact scan: it must hit the
+// same digests and count the same stats (every fitted row pooled per
+// query, no row hashed).
+func TestExactScanPinnedBits(t *testing.T) {
+	const n, nq = 300, 600
+	data, queries := randRows(n, 8, 71), randRows(nq, 8, 72)
+	data32, queries32 := to32(data), to32(queries)
+	for _, tier := range []struct {
+		name, want string
+		run        func(ix *Index, k, workers int) *Result
+	}{
+		{"f64", "b4f917e9cd11621941de424952b11d9607c7f10cc23c59d0a0583387eca717f2", func(ix *Index, k, workers int) *Result {
+			ix.Fit(data, workers)
+			return ix.TopK(queries, k, workers)
+		}},
+		{"f32", "e918f7fc416dac5cbf6e0a14a537c40ba04fc158f88c1dfa9d8cf16d82d9319d", func(ix *Index, k, workers int) *Result {
+			ix.Fit32(data32, workers)
+			return ix.TopK32(queries32, k, workers)
+		}},
+	} {
+		for _, p := range []Params{{Bits: 3, Probes: 8, Seed: 5}, {}} {
+			for _, workers := range []int{1, 2, 3} {
+				ix := New(p)
+				var rs []*Result
+				for _, k := range []int{1, 7, n} {
+					rs = append(rs, tier.run(ix, k, workers))
+				}
+				if got := resultDigest(rs...); got != tier.want {
+					t.Errorf("%s bits=%d workers=%d: digest %s, want %s", tier.name, p.Bits, workers, got, tier.want)
+				}
+				st := ix.Stats()
+				if st.Fits != 3 || st.Rows != 0 || st.Queries != 3*nq || st.PoolRows != 3*nq*n || st.PoolRowsMax != n {
+					t.Errorf("%s bits=%d workers=%d: stats %+v", tier.name, p.Bits, workers, st)
+				}
+			}
+		}
+	}
+}
+
 // TestHashedFullGatherMatchesBruteForce: with k = n the hashed path must
 // keep probing until the pool covers every row, so the multi-probe
 // enumeration exercises every bucket and the output equals brute force —

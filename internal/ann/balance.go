@@ -162,7 +162,7 @@ type subTable struct {
 // sub-bucket and defer the rest (see gather).
 func (ix *Index) buildSubs() {
 	nb := 1 << ix.p.Bits
-	ix.subOf = growInt32s(ix.subOf, nb)
+	ix.subOf = resize(ix.subOf, nb)
 	for i := range ix.subOf[:nb] {
 		ix.subOf[i] = -1
 	}
@@ -240,7 +240,7 @@ func (ix *Index) buildSubs() {
 		// Stable counting sort of the segment by sub-code, in place.
 		nsb := 1 << uint(sb)
 		st.start = make([]int32, nsb+1)
-		ix.subCode = growInt32sAsU32(ix.subCode, size)
+		ix.subCode = resize(ix.subCode, size)
 		for si, r := range seg {
 			var c uint32
 			if ix.data32 != nil {
@@ -264,8 +264,8 @@ func (ix *Index) buildSubs() {
 		for c := 0; c < nsb; c++ {
 			st.start[c+1] += st.start[c]
 		}
-		ix.subTmp = growInt32s(ix.subTmp, size)
-		ix.subCursor = growInt32s(ix.subCursor, nsb)
+		ix.subTmp = resize(ix.subTmp, size)
+		ix.subCursor = resize(ix.subCursor, nsb)
 		copy(ix.subCursor, st.start[:nsb])
 		for si, r := range seg {
 			c := ix.subCode[si]

@@ -1,7 +1,11 @@
 package core
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"errors"
+	"math"
 	"reflect"
 	"testing"
 
@@ -106,6 +110,67 @@ func TestAlignANNApproximate(t *testing.T) {
 	rep := metrics.EvaluateSim(res.Sim, truth, 1)
 	if rep.PrecisionAt[1] < 0.5 {
 		t.Fatalf("p@1 = %.3f under ann on an easy pair", rep.PrecisionAt[1])
+	}
+}
+
+// simSHA256 hashes a Sim's exact bits as the refine tests do: a dense
+// matrix row-major, a candidate list row by row as its length, then
+// (column, score) pairs.
+func simSHA256(s align.Sim) string {
+	h := sha256.New()
+	var b [8]byte
+	put := func(x uint64) {
+		binary.LittleEndian.PutUint64(b[:], x)
+		h.Write(b[:])
+	}
+	switch s := s.(type) {
+	case align.DenseSim:
+		for _, v := range s.M.Data {
+			put(math.Float64bits(v))
+		}
+	case *align.TopKSim:
+		for i, idx := range s.C.Idx {
+			put(uint64(len(idx)))
+			for c, j := range idx {
+				put(uint64(j))
+				put(math.Float64bits(s.C.Score[i][c]))
+			}
+		}
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// TestAlignANNPinnedBits pins one small end-to-end run on the
+// approximate ANN path (6 of 32 buckets probed) with one RefiNA
+// iteration, on both precision tiers: the SHA-256 of the refined Sim.
+// The digests were computed at commit 62dfd54; a change to them is a
+// change to the answers of the ann backend and must be deliberate.
+func TestAlignANNPinnedBits(t *testing.T) {
+	gs, gt, _ := noisyPair(120, 0.05, 7)
+	for _, tc := range []struct {
+		prec Precision
+		want string
+	}{
+		{PrecisionF64, "c223ef6b2151330f42ecf5f98e3b3e13b67f591bcea5176af73d938925477bbd"},
+		{PrecisionF32, "1887e9af8eb40d9c17d6e8801848fd5971001e0e447d276db19ae94806d77ca2"},
+	} {
+		cfg := quickConfig(Full)
+		cfg.Similarity = SimANN
+		cfg.CandidateK = 10
+		cfg.AnnBits = 5
+		cfg.AnnProbes = 6
+		cfg.RefineIters = 1
+		cfg.Precision = tc.prec
+		res, err := Align(gs, gt, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Ann == nil || res.Ann.RowsHashed == 0 {
+			t.Fatalf("%s: the run took no hashed path: %+v", tc.prec, res.Ann)
+		}
+		if got := simSHA256(res.Sim); got != tc.want {
+			t.Errorf("%s: refined sim sha256 %s, want %s", tc.prec, got, tc.want)
+		}
 	}
 }
 

@@ -35,7 +35,8 @@ type NodeIndexer interface {
 }
 
 // TruthFromPairs builds an index-keyed Truth map from ID-keyed anchor
-// pairs (sourceID, targetID), resolved through the two node maps.
+// pairs (sourceID, targetID), resolved through the two node maps: ground
+// truth, or a matching uploaded for refinement.
 // Unknown ids are errors, as is a source appearing twice with different
 // targets; an exact repeat is tolerated. Sources never mentioned stay at
 // −1.
@@ -47,14 +48,14 @@ func TruthFromPairs(pairs [][2]string, src, tgt NodeIndexer) (Truth, error) {
 	for _, p := range pairs {
 		s, ok := src.Index(p[0])
 		if !ok {
-			return nil, fmt.Errorf("metrics: unknown source node %q in ground truth", p[0])
+			return nil, fmt.Errorf("metrics: unknown source node %q", p[0])
 		}
 		t, ok := tgt.Index(p[1])
 		if !ok {
-			return nil, fmt.Errorf("metrics: unknown target node %q in ground truth", p[1])
+			return nil, fmt.Errorf("metrics: unknown target node %q", p[1])
 		}
 		if truth[s] >= 0 && truth[s] != t {
-			return nil, fmt.Errorf("metrics: source node %q has conflicting anchors in ground truth", p[0])
+			return nil, fmt.Errorf("metrics: source node %q has conflicting anchors", p[0])
 		}
 		truth[s] = t
 	}

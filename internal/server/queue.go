@@ -6,6 +6,9 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"io"
+	"log"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -132,6 +135,7 @@ type Runner func(ctx context.Context, job *Job) (any, error)
 type Queue struct {
 	runner  Runner
 	metrics *Metrics
+	log     *log.Logger
 	ch      chan *Job
 	workers int
 
@@ -150,8 +154,9 @@ type Queue struct {
 }
 
 // NewQueue starts a queue with the given worker count and backlog depth.
-// runner executes each job; metrics may be nil.
-func NewQueue(workers, depth int, runner Runner, metrics *Metrics) *Queue {
+// runner executes each job; metrics may be nil, and so may logger, which
+// receives the stack of a job whose runner panicked.
+func NewQueue(workers, depth int, runner Runner, metrics *Metrics, logger *log.Logger) *Queue {
 	if workers < 1 {
 		workers = 1
 	}
@@ -161,10 +166,14 @@ func NewQueue(workers, depth int, runner Runner, metrics *Metrics) *Queue {
 	if metrics == nil {
 		metrics = &Metrics{}
 	}
+	if logger == nil {
+		logger = log.New(io.Discard, "", 0)
+	}
 	ctx, cancel := context.WithCancel(context.Background())
 	q := &Queue{
 		runner:  runner,
 		metrics: metrics,
+		log:     logger,
 		ch:      make(chan *Job, depth),
 		workers: workers,
 		baseCtx: ctx, baseCancel: cancel,
@@ -334,7 +343,7 @@ func (q *Queue) run(job *Job) {
 	job.mu.Unlock()
 
 	q.metrics.JobsRunning.Add(1)
-	res, err := q.runner(job.ctx, job)
+	res, err := q.runGuarded(job)
 	q.metrics.JobsRunning.Add(-1)
 
 	job.mu.Lock()
@@ -356,6 +365,20 @@ func (q *Queue) run(job *Job) {
 	job.mu.Unlock()
 	job.cancel() // release the context's resources
 	q.recordFinished(job)
+}
+
+// runGuarded runs the runner on one job and turns a panic into that
+// job's error, so one bad job fails alone instead of taking down the
+// process with every queued job and cache. The stack goes to the log.
+func (q *Queue) runGuarded(job *Job) (res any, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			stack := make([]byte, 64<<10)
+			q.log.Printf("job %s panicked: %v\n%s", job.ID, r, stack[:runtime.Stack(stack, false)])
+			err = fmt.Errorf("internal error: %v", r)
+		}
+	}()
+	return q.runner(job.ctx, job)
 }
 
 // recordFinished appends the job to the finish log and evicts the oldest

@@ -38,7 +38,7 @@ func waitStatus(t *testing.T, job *Job, want JobStatus) {
 func TestCancelReleasesWorker(t *testing.T) {
 	started := make(chan *Job, 8)
 	m := &Metrics{}
-	q := NewQueue(1, 4, blockingRunner(started), m)
+	q := NewQueue(1, 4, blockingRunner(started), m, nil)
 	defer q.Close()
 
 	hog, err := q.Submit(&AlignRequest{Dataset: "slow"}, "k1")
@@ -82,7 +82,7 @@ func TestCancelReleasesWorker(t *testing.T) {
 
 func TestCancelWhileQueuedSkipsRun(t *testing.T) {
 	started := make(chan *Job, 8)
-	q := NewQueue(1, 4, blockingRunner(started), nil)
+	q := NewQueue(1, 4, blockingRunner(started), nil, nil)
 	defer q.Close()
 
 	hog, _ := q.Submit(&AlignRequest{Dataset: "slow"}, "k1")
@@ -106,7 +106,7 @@ func TestCancelWhileQueuedSkipsRun(t *testing.T) {
 
 func TestQueueFull(t *testing.T) {
 	started := make(chan *Job, 8)
-	q := NewQueue(1, 1, blockingRunner(started), nil)
+	q := NewQueue(1, 1, blockingRunner(started), nil, nil)
 	defer q.Close()
 
 	hog, _ := q.Submit(&AlignRequest{Dataset: "slow"}, "k1")
@@ -123,7 +123,7 @@ func TestQueueFull(t *testing.T) {
 func TestSubmitAfterClose(t *testing.T) {
 	q := NewQueue(1, 1, func(ctx context.Context, job *Job) (any, error) {
 		return &AlignResult{}, nil
-	}, nil)
+	}, nil, nil)
 	q.Close()
 	if _, err := q.Submit(&AlignRequest{Dataset: "fast"}, "k"); !errors.Is(err, ErrQueueClosed) {
 		t.Fatalf("got %v, want ErrQueueClosed", err)
@@ -134,7 +134,7 @@ func TestFailedJobReportsError(t *testing.T) {
 	boom := errors.New("boom")
 	q := NewQueue(1, 1, func(ctx context.Context, job *Job) (any, error) {
 		return nil, boom
-	}, nil)
+	}, nil, nil)
 	defer q.Close()
 
 	job, _ := q.Submit(&AlignRequest{Dataset: "x"}, "k")
@@ -148,7 +148,7 @@ func TestFailedJobReportsError(t *testing.T) {
 func TestRecordEviction(t *testing.T) {
 	q := NewQueue(1, 1, func(ctx context.Context, job *Job) (any, error) {
 		return &AlignResult{}, nil
-	}, nil)
+	}, nil, nil)
 	defer q.Close()
 	q.maxRecords = 3
 

@@ -11,6 +11,7 @@ import (
 
 	"github.com/htc-align/htc/internal/align"
 	"github.com/htc-align/htc/internal/datasets"
+	"github.com/htc-align/htc/internal/metrics"
 	"github.com/htc-align/htc/internal/refine"
 )
 
@@ -232,28 +233,14 @@ func (s *Server) handleRefine(w http.ResponseWriter, r *http.Request) {
 }
 
 // matchingFromPairs resolves a name-keyed matching through the pair's id
-// dictionaries into the index-keyed form, rejecting unknown ids and
-// conflicting duplicates.
-func matchingFromPairs(pairs [][2]string, pair *datasets.Pair) ([]int, error) {
-	match := make([]int, pair.Source.N())
-	for i := range match {
-		match[i] = -1
+// dictionaries with the resolver ground truth uses: unknown ids and a
+// source sent to two targets are errors, an exact repeat is tolerated.
+func matchingFromPairs(pairs [][2]string, pair *datasets.Pair) (match []int, err error) {
+	match, err = metrics.TruthFromPairs(pairs, pair.SourceIDs, pair.TargetIDs)
+	if err != nil {
+		err = fmt.Errorf("matching: %w", err)
 	}
-	for _, p := range pairs {
-		s, ok := pair.SourceIDs.Index(p[0])
-		if !ok {
-			return nil, fmt.Errorf("matching names unknown source node %q", p[0])
-		}
-		t, ok := pair.TargetIDs.Index(p[1])
-		if !ok {
-			return nil, fmt.Errorf("matching names unknown target node %q", p[1])
-		}
-		if match[s] >= 0 && match[s] != t {
-			return nil, fmt.Errorf("matching sends source node %q to two different targets", p[0])
-		}
-		match[s] = t
-	}
-	return match, nil
+	return match, err
 }
 
 // refineKey derives the refine cache identity: the input matching's

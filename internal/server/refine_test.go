@@ -148,6 +148,42 @@ func TestRefineRejectsSweepJobs(t *testing.T) {
 	}
 }
 
+// TestRefineRejectsBadMatching: an uploaded matching that names an
+// unknown source node, or sends one source to two targets, is a 400 that
+// says so, resolved by the same name-keyed resolver as ground truth.
+func TestRefineRejectsBadMatching(t *testing.T) {
+	ts := newTestServer(t, Options{Workers: 1})
+	req, err := http.NewRequest(http.MethodPut, ts.URL+"/v1/datasets/bridge-pair",
+		strings.NewReader(readFixture(t, "dataset_put.json")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if blob, _ := readAll(resp); resp.StatusCode != http.StatusCreated {
+		t.Fatalf("PUT: %d\n%s", resp.StatusCode, blob)
+	}
+	for _, tc := range []struct{ matching, want string }{
+		{`[["a", "x1"], ["zz", "x2"]]`, `matching: metrics: unknown source node \"zz\"`},
+		{`[["a", "x1"], ["a", "x2"]]`, `matching: metrics: source node \"a\" has conflicting anchors`},
+	} {
+		body := fmt.Sprintf(`{"dataset": "bridge-pair", "matching": %s}`, tc.matching)
+		resp, err := http.Post(ts.URL+"/v1/refine", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		blob, _ := readAll(resp)
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("matching %s: %d, want 400\n%s", tc.matching, resp.StatusCode, blob)
+		}
+		if !bytes.Contains(blob, []byte(tc.want)) {
+			t.Errorf("matching %s: error %s, want it to contain %s", tc.matching, blob, tc.want)
+		}
+	}
+}
+
 // jsonEqual compares two values through their canonical JSON encodings.
 func jsonEqual(t *testing.T, a, b any) bool {
 	t.Helper()

@@ -110,7 +110,7 @@ func New(opts Options) *Server {
 		mux:      http.NewServeMux(),
 		started:  time.Now(),
 	}
-	s.queue = NewQueue(opts.Workers, opts.QueueDepth, s.runJob, s.metrics)
+	s.queue = NewQueue(opts.Workers, opts.QueueDepth, s.runJob, s.metrics, opts.Log)
 	s.mux.HandleFunc("POST /v1/align", s.handleSubmit)
 	s.mux.HandleFunc("POST /v1/sweep", s.handleSweep)
 	s.mux.HandleFunc("POST /v1/refine", s.handleRefine)

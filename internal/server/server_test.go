@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"log"
 	"net/http"
 	"net/http/httptest"
 	"regexp"
@@ -374,6 +375,44 @@ func TestMetricsEndpoint(t *testing.T) {
 	// The traffic above fixes every value but the uptime.
 	uptime := regexp.MustCompile(`(?m)^htc_uptime_seconds .*$`)
 	compareGolden(t, "metrics.golden", uptime.ReplaceAll(buf.Bytes(), []byte("htc_uptime_seconds <uptime>")))
+}
+
+// TestPanickingJobFailsAlone: a job whose pipeline panics (a hidden
+// width no slice can hold makes the encoder's allocation panic) fails
+// with an internal error instead of taking the process down; the stack
+// goes to the log, the failure is counted, the running gauge settles,
+// and the next job completes.
+func TestPanickingJobFailsAlone(t *testing.T) {
+	var logBuf bytes.Buffer
+	ts := newTestServer(t, Options{Workers: 1, Log: log.New(&logBuf, "", 0)})
+	code, bad := submit(t, ts, `{"dataset":"synthetic","n":30,"config":{"variant":"HTC-L","hidden":4611686018427387904,"epochs":1}}`)
+	if code != http.StatusAccepted {
+		t.Fatalf("submit: %d, want 202", code)
+	}
+	info := waitFor(t, ts, bad.ID, StatusFailed)
+	if !strings.HasPrefix(info.Error, "internal error: ") {
+		t.Fatalf("error %q, want an internal error", info.Error)
+	}
+	code, good := submit(t, ts, fastBody(32))
+	if code != http.StatusAccepted {
+		t.Fatalf("submit after the panic: %d, want 202", code)
+	}
+	waitFor(t, ts, good.ID, StatusDone)
+
+	resp, err := http.Get(ts.URL + "/v1/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	text, _ := io.ReadAll(resp.Body)
+	for _, want := range []string{"htc_jobs_failed_total 1", "htc_jobs_completed_total 1", "htc_jobs_running 0"} {
+		if !strings.Contains(string(text), want+"\n") {
+			t.Errorf("metrics output missing %q:\n%s", want, text)
+		}
+	}
+	if logged := logBuf.String(); !strings.Contains(logged, "job "+bad.ID+" panicked: ") || !strings.Contains(logged, "goroutine ") {
+		t.Errorf("log holds no stack for the panicked job:\n%s", logged)
+	}
 }
 
 func TestMethodNotAllowed(t *testing.T) {
