@@ -5,9 +5,11 @@
 
 GO ?= go
 
-# How long `make fuzz` spends on each format-reader fuzz target.
+# How long `make fuzz` spends on each fuzz target, and the targets as
+# package:Target pairs under internal/.
 FUZZTIME ?= 10s
-FUZZ_TARGETS = FuzzEdgeList FuzzAdjList FuzzJSON FuzzHTCGraph FuzzSniff FuzzTruth
+FUZZ_TARGETS = ingest:FuzzEdgeList ingest:FuzzAdjList ingest:FuzzJSON ingest:FuzzHTCGraph \
+	ingest:FuzzSniff ingest:FuzzTruth server:FuzzAlignAdmission
 
 .PHONY: build test test-ann test-refine test-kernels test-bench lint bench bench-pipeline bench-io bench-gate fuzz ci
 
@@ -94,12 +96,14 @@ bench-gate:
 	./scripts/bench_snapshot.sh BENCH_io.ci.json ./internal/ingest/ 'BenchmarkEdgeList1M$$|BenchmarkTruth100K$$'
 	./scripts/bench_check.sh BENCH_io.json BENCH_io.ci.json 2.0 1.5
 
-# Short fuzz smoke over every registered format reader plus the sniffer
-# and the truth parser (go test -fuzz accepts one target at a time).
+# Short fuzz smoke over every registered format reader, the sniffer, the
+# truth parser and the server's align/sweep admission path (go test -fuzz
+# accepts one target in one package at a time).
 fuzz:
 	@for t in $(FUZZ_TARGETS); do \
-		echo "== fuzz $$t ($(FUZZTIME)) =="; \
-		$(GO) test ./internal/ingest/ -run='^$$' -fuzz="^$$t$$" -fuzztime=$(FUZZTIME) || exit 1; \
+		pkg=$${t%%:*} name=$${t#*:}; \
+		echo "== fuzz $$name in internal/$$pkg ($(FUZZTIME)) =="; \
+		$(GO) test ./internal/$$pkg/ -run='^$$' -fuzz="^$$name$$" -fuzztime=$(FUZZTIME) || exit 1; \
 	done
 
 ci: lint build test test-ann test-refine test-kernels test-bench bench fuzz bench-gate

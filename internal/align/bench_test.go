@@ -43,21 +43,21 @@ func BenchmarkCorr1000(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Corr(hs, ht)
+		new(simScratch).corrInto(hs, ht, 0)
 	}
 }
 
 func BenchmarkLISI1000(b *testing.B) {
-	corr := Corr(benchEmbeddings(1000, 64, 3), benchEmbeddings(1000, 64, 4))
+	corr := new(simScratch).corrInto(benchEmbeddings(1000, 64, 3), benchEmbeddings(1000, 64, 4), 0)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		LISI(corr, 20)
+		new(simScratch).lisiInto(corr, 20, 0)
 	}
 }
 
 func BenchmarkTrustedPairs1000(b *testing.B) {
-	m := LISI(Corr(benchEmbeddings(1000, 64, 5), benchEmbeddings(1000, 64, 6)), 20)
+	m := new(simScratch).lisiInto(new(simScratch).corrInto(benchEmbeddings(1000, 64, 5), benchEmbeddings(1000, 64, 6), 0), 20, 0)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -66,11 +66,11 @@ func BenchmarkTrustedPairs1000(b *testing.B) {
 }
 
 func BenchmarkHubnessDegrees1000(b *testing.B) {
-	corr := Corr(benchEmbeddings(1000, 64, 9), benchEmbeddings(1000, 64, 10))
+	corr := new(simScratch).corrInto(benchEmbeddings(1000, 64, 9), benchEmbeddings(1000, 64, 10), 0)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		HubnessDegrees(corr, 20)
+		new(simScratch).hubness(corr, 20, 0)
 	}
 }
 
@@ -98,7 +98,7 @@ func BenchmarkFineTuneWorkers(b *testing.B) {
 }
 
 func BenchmarkHungarian200(b *testing.B) {
-	m := Corr(benchEmbeddings(200, 32, 7), benchEmbeddings(200, 32, 8))
+	m := new(simScratch).corrInto(benchEmbeddings(200, 32, 7), benchEmbeddings(200, 32, 8), 0)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -212,31 +212,3 @@ func HungarianMatch(m *dense.Matrix) []int {
 	}
 	return out
 }
-
-// MatchScore sums the matrix entries selected by a matching, the objective
-// both matchers maximise.
-func MatchScore(m *dense.Matrix, match []int) float64 {
-	var s float64
-	for i, j := range match {
-		if j >= 0 {
-			s += m.At(i, j)
-		}
-	}
-	return s
-}
-
-// MatchScoreSim is MatchScore over any similarity representation. Matched
-// pairs outside a sparse representation contribute nothing (a candidate
-// matcher never selects them, but a caller may score a foreign matching).
-func MatchScoreSim(sim Sim, match []int) float64 {
-	var s float64
-	for i, j := range match {
-		if j < 0 {
-			continue
-		}
-		if v, ok := sim.At(i, j); ok {
-			s += v
-		}
-	}
-	return s
-}

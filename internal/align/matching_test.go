@@ -105,7 +105,7 @@ func TestHungarianMatchesBruteForce(t *testing.T) {
 		r, c := 1+rng.Intn(6), 1+rng.Intn(6)
 		m := randomScore(r, c, rng)
 		match := HungarianMatch(m)
-		got := MatchScore(m, match)
+		got := matchScore(m, match)
 		want := bruteBestMatching(m)
 		return math.Abs(got-want) < 1e-9
 	}
@@ -118,7 +118,7 @@ func TestHungarianBeatsOrEqualsGreedy(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		m := randomScore(2+rng.Intn(10), 2+rng.Intn(10), rng)
-		return MatchScore(m, HungarianMatch(m))+1e-9 >= MatchScore(m, GreedyMatch(m))
+		return matchScore(m, HungarianMatch(m))+1e-9 >= matchScore(m, GreedyMatch(m))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
@@ -133,7 +133,7 @@ func TestHungarianKnownCase(t *testing.T) {
 	})
 	// Greedy takes (0,0)=10 then (1,1)=1 → 11; optimal is 9+9 = 18.
 	match := HungarianMatch(m)
-	if got := MatchScore(m, match); got != 18 {
+	if got := matchScore(m, match); got != 18 {
 		t.Fatalf("Hungarian score = %v, want 18 (match %v)", got, match)
 	}
 }
@@ -155,7 +155,7 @@ func TestHungarianRectangular(t *testing.T) {
 	if matched != 2 {
 		t.Fatalf("matched %d rows, want 2 (match %v)", matched, match)
 	}
-	if got := MatchScore(m, match); got != 10 {
+	if got := matchScore(m, match); got != 10 {
 		t.Fatalf("score = %v, want 10", got)
 	}
 }
@@ -166,7 +166,7 @@ func TestHungarianNegativeScores(t *testing.T) {
 		{-5, -1},
 	})
 	match := HungarianMatch(m)
-	if got := MatchScore(m, match); got != -2 {
+	if got := matchScore(m, match); got != -2 {
 		t.Fatalf("score = %v, want -2", got)
 	}
 }
@@ -183,7 +183,35 @@ func TestHungarianEmpty(t *testing.T) {
 
 func TestMatchScoreIgnoresUnmatched(t *testing.T) {
 	m := dense.FromRows([][]float64{{1, 2}, {3, 4}})
-	if got := MatchScore(m, []int{-1, 0}); got != 3 {
+	if got := matchScore(m, []int{-1, 0}); got != 3 {
 		t.Fatalf("score = %v, want 3", got)
 	}
+}
+
+// matchScore sums the matrix entries selected by a matching, the objective
+// both matchers maximise.
+func matchScore(m *dense.Matrix, match []int) float64 {
+	var s float64
+	for i, j := range match {
+		if j >= 0 {
+			s += m.At(i, j)
+		}
+	}
+	return s
+}
+
+// matchScoreSim is matchScore over any similarity representation. Matched
+// pairs outside a sparse representation contribute nothing (a candidate
+// matcher never selects them, but a caller may score a foreign matching).
+func matchScoreSim(sim Sim, match []int) float64 {
+	var s float64
+	for i, j := range match {
+		if j < 0 {
+			continue
+		}
+		if v, ok := sim.At(i, j); ok {
+			s += v
+		}
+	}
+	return s
 }

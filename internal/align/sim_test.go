@@ -47,7 +47,7 @@ func TestTopKLISIFullEqualsDense(t *testing.T) {
 		ht := randomEmbeddings(nt, d, rng)
 		m := 1 + rng.Intn(6)
 
-		denseLISI := LISI(Corr(hs, ht), m)
+		denseLISI := new(simScratch).lisiInto(new(simScratch).corrInto(hs, ht, 0), m, 0)
 		k := nt
 		if ns > k {
 			k = ns
@@ -145,7 +145,7 @@ func TestGreedyMatchSimFullEqualsDense(t *testing.T) {
 				return false
 			}
 		}
-		if MatchScore(m, dm) != MatchScoreSim(fullTopKSim(m), tm) {
+		if matchScore(m, dm) != matchScoreSim(fullTopKSim(m), tm) {
 			return false
 		}
 		return true

@@ -39,16 +39,11 @@ func ensureVec(v []float64, n int) []float64 {
 	return make([]float64, n)
 }
 
-// Corr returns the Pearson correlation matrix between the rows of hs
-// (ns×d) and ht (nt×d): entry (i, j) is corr(hs_i, ht_j) per Eq. 9.
-// Constant (zero-variance) embeddings correlate 0 with everything.
-func Corr(hs, ht *dense.Matrix) *dense.Matrix {
-	s := &simScratch{}
-	return s.corrInto(hs, ht, 0)
-}
-
-// corrInto computes the Pearson similarity into the scratch's corr buffer.
-// workers bounds the kernel fan-out (≤ 0 = GOMAXPROCS).
+// corrInto computes the Pearson correlation matrix between the rows of hs
+// (ns×d) and ht (nt×d) into the scratch's corr buffer: entry (i, j) is
+// corr(hs_i, ht_j) per Eq. 9. Constant (zero-variance) embeddings
+// correlate 0 with everything. workers bounds the kernel fan-out (≤ 0 =
+// GOMAXPROCS).
 func (s *simScratch) corrInto(hs, ht *dense.Matrix, workers int) *dense.Matrix {
 	if hs.Cols != ht.Cols {
 		panic(fmt.Sprintf("align: embedding dims differ: %d vs %d", hs.Cols, ht.Cols))
@@ -128,19 +123,12 @@ func partitionDesc(xs []float64, lo, hi int) int {
 	return store
 }
 
-// HubnessDegrees computes Dt (per source node: mean similarity to its m
-// nearest target neighbours) and Ds (per target node, symmetric) from a
-// similarity matrix, per Eq. 10.
-func HubnessDegrees(corr *dense.Matrix, m int) (dt, ds []float64) {
-	s := &simScratch{}
-	return s.hubness(corr, m, 0)
-}
-
-// hubness fills the scratch's dt/ds vectors. The per-target degrees Ds
-// need the columns of corr; instead of the old element-by-element strided
-// gather (one cache line fetched per entry), the matrix is transposed once
-// with the cache-blocked TransposeInto and Ds becomes a sequential row
-// scan like Dt.
+// hubness fills the scratch's dt/ds vectors with the hubness degrees of
+// Eq. 10: Dt (per source node: mean similarity to its m nearest target
+// neighbours) and Ds (per target node, symmetric). Ds needs the columns
+// of corr, which a strided gather would read one cache line per entry;
+// the matrix is transposed once with the cache-blocked TransposeInto
+// instead, so Ds is a sequential row scan like Dt.
 func (s *simScratch) hubness(corr *dense.Matrix, m, workers int) (dt, ds []float64) {
 	s.dt = ensureVec(s.dt, corr.Rows)
 	s.ds = ensureVec(s.ds, corr.Cols)
@@ -163,17 +151,11 @@ func (s *simScratch) hubness(corr *dense.Matrix, m, workers int) (dt, ds []float
 	return dt, ds
 }
 
-// LISI converts a similarity matrix into the locally isolated similarity
-// index of Eq. 11: LISI(i,j) = 2·corr(i,j) − Dt(i) − Ds(j). High values
-// mark pairs that are mutually similar yet locally isolated, which
+// lisiInto computes the locally isolated similarity index of Eq. 11,
+// LISI(i,j) = 2·corr(i,j) − Dt(i) − Ds(j), into the scratch's lisi
+// buffer, reusing the hubness vectors and the transposed similarity. High
+// values mark pairs that are mutually similar yet locally isolated, which
 // suppresses hub nodes.
-func LISI(corr *dense.Matrix, m int) *dense.Matrix {
-	s := &simScratch{}
-	return s.lisiInto(corr, m, 0)
-}
-
-// lisiInto computes LISI into the scratch's lisi buffer, reusing the
-// hubness vectors and the transposed similarity.
 func (s *simScratch) lisiInto(corr *dense.Matrix, m, workers int) *dense.Matrix {
 	dt, ds := s.hubness(corr, m, workers)
 	s.lisi = dense.Ensure(s.lisi, corr.Rows, corr.Cols)

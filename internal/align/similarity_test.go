@@ -12,7 +12,7 @@ import (
 
 func TestCorrSelf(t *testing.T) {
 	h := dense.FromRows([][]float64{{1, 2, 3}, {-1, 0, 1}})
-	c := Corr(h, h)
+	c := new(simScratch).corrInto(h, h, 0)
 	if math.Abs(c.At(0, 0)-1) > 1e-12 || math.Abs(c.At(1, 1)-1) > 1e-12 {
 		t.Fatalf("self correlation != 1: %v", c)
 	}
@@ -25,7 +25,7 @@ func TestCorrSelf(t *testing.T) {
 func TestCorrAntiCorrelated(t *testing.T) {
 	a := dense.FromRows([][]float64{{1, 2, 3}})
 	b := dense.FromRows([][]float64{{3, 2, 1}})
-	c := Corr(a, b)
+	c := new(simScratch).corrInto(a, b, 0)
 	if math.Abs(c.At(0, 0)+1) > 1e-12 {
 		t.Fatalf("corr = %v, want -1", c.At(0, 0))
 	}
@@ -34,7 +34,7 @@ func TestCorrAntiCorrelated(t *testing.T) {
 func TestCorrConstantRowIsZero(t *testing.T) {
 	a := dense.FromRows([][]float64{{5, 5, 5}})
 	b := dense.FromRows([][]float64{{1, 2, 3}})
-	c := Corr(a, b)
+	c := new(simScratch).corrInto(a, b, 0)
 	if c.At(0, 0) != 0 {
 		t.Fatalf("constant row corr = %v, want 0", c.At(0, 0))
 	}
@@ -56,8 +56,8 @@ func TestCorrScaleAndTranslationInvariance(t *testing.T) {
 		for j := 0; j < d; j++ {
 			b.Set(0, j, b.At(0, j)*scale+shift)
 		}
-		c1 := Corr(a, a)
-		c2 := Corr(b, a)
+		c1 := new(simScratch).corrInto(a, a, 0)
+		c2 := new(simScratch).corrInto(b, a, 0)
 		return math.Abs(c1.At(0, 0)-c2.At(0, 0)) < 1e-9 &&
 			math.Abs(c1.At(0, 1)-c2.At(0, 1)) < 1e-9
 	}
@@ -72,7 +72,7 @@ func TestCorrMismatchedDimsPanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	Corr(dense.New(2, 3), dense.New(2, 4))
+	new(simScratch).corrInto(dense.New(2, 3), dense.New(2, 4), 0)
 }
 
 func TestTopMean(t *testing.T) {
@@ -122,7 +122,7 @@ func TestHubnessDegrees(t *testing.T) {
 		{0.9, 0.1, 0.5},
 		{0.2, 0.8, 0.3},
 	})
-	dt, ds := HubnessDegrees(corr, 2)
+	dt, ds := new(simScratch).hubness(corr, 2, 0)
 	if math.Abs(dt[0]-0.7) > 1e-12 { // top-2 of row 0: 0.9, 0.5
 		t.Fatalf("dt[0] = %v", dt[0])
 	}
@@ -139,7 +139,7 @@ func TestLISIPenalisesHubs(t *testing.T) {
 		{0.9, 0.0},
 		{0.9, 0.9},
 	})
-	l := LISI(corr, 2)
+	l := new(simScratch).lisiInto(corr, 2, 0)
 	if l.At(1, 1) <= l.At(1, 0) {
 		t.Fatalf("LISI did not penalise the hub: %v vs %v", l.At(1, 1), l.At(1, 0))
 	}
@@ -148,8 +148,8 @@ func TestLISIPenalisesHubs(t *testing.T) {
 func TestLISIFormula(t *testing.T) {
 	corr := dense.FromRows([][]float64{{0.5, 0.1}, {0.3, 0.7}})
 	m := 1
-	dt, ds := HubnessDegrees(corr, m)
-	l := LISI(corr, m)
+	dt, ds := new(simScratch).hubness(corr, m, 0)
+	l := new(simScratch).lisiInto(corr, m, 0)
 	for i := 0; i < 2; i++ {
 		for j := 0; j < 2; j++ {
 			want := 2*corr.At(i, j) - dt[i] - ds[j]
@@ -213,8 +213,8 @@ func TestLISIRectangular(t *testing.T) {
 		corr.Data[i] = rng.Float64()*2 - 1
 	}
 	m := 3
-	dt, ds := HubnessDegrees(corr, m)
-	l := LISI(corr, m)
+	dt, ds := new(simScratch).hubness(corr, m, 0)
+	l := new(simScratch).lisiInto(corr, m, 0)
 	if l.Rows != 7 || l.Cols != 4 {
 		t.Fatalf("LISI shape %dx%d", l.Rows, l.Cols)
 	}

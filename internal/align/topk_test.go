@@ -31,7 +31,7 @@ func TestTopKCandidatesMatchesDense(t *testing.T) {
 		ht := randomEmbeddings(nt, d, rng)
 		k := 1 + rng.Intn(nt)
 		cands := exactCandidates(hs, ht, k)
-		corr := Corr(hs, ht)
+		corr := new(simScratch).corrInto(hs, ht, 0)
 		for i := 0; i < ns; i++ {
 			if len(cands.Idx[i]) != k {
 				return false
@@ -73,7 +73,7 @@ func TestTopKCandidatesBlockBoundary(t *testing.T) {
 	hs := randomEmbeddings(300, 4, rng)
 	ht := randomEmbeddings(40, 4, rng)
 	cands := exactCandidates(hs, ht, 3)
-	corr := Corr(hs, ht)
+	corr := new(simScratch).corrInto(hs, ht, 0)
 	for _, i := range []int{0, 255, 256, 299} {
 		row := corr.Row(i)
 		best := 0
@@ -120,7 +120,7 @@ func TestTrustedPairsTopKFullEqualsDense(t *testing.T) {
 		backward := exactCandidates(ht, hs, ns)
 		sparsePairs := trustedPairsCands(forward, backward, topMeansInto(nil, forward, m), topMeansInto(nil, backward, m))
 
-		densePairs := TrustedPairs(LISI(Corr(hs, ht), m))
+		densePairs := TrustedPairs(new(simScratch).lisiInto(new(simScratch).corrInto(hs, ht, 0), m, 0))
 		if len(sparsePairs) != len(densePairs) {
 			return false
 		}

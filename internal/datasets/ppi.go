@@ -35,16 +35,19 @@ func PPI(n int, seed int64) *graph.Graph {
 		adj[u] = append(adj[u], int32(v))
 		adj[v] = append(adj[v], int32(u))
 	}
-	// Seed graph: a triangle.
-	addEdge(0, 1)
-	addEdge(1, 2)
-	addEdge(0, 2)
+	// Seed graph: a triangle, cut to its first n nodes when n < 3.
+	tri := min(n, 3)
+	for _, e := range [3][2]int{{0, 1}, {1, 2}, {0, 2}} {
+		if e[1] < tri {
+			addEdge(e[0], e[1])
+		}
+	}
 
 	attrs := dense.New(n, attrDim)
 	for j := 0; j < attrDim; j++ {
-		attrs.Set(0, j, rng.NormFloat64())
-		attrs.Set(1, j, rng.NormFloat64())
-		attrs.Set(2, j, rng.NormFloat64())
+		for v := 0; v < tri; v++ {
+			attrs.Set(v, j, rng.NormFloat64())
+		}
 	}
 
 	for v := 3; v < n; v++ {

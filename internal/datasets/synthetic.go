@@ -22,7 +22,7 @@ func Econ(n int, seed int64) *graph.Graph {
 	rng := rand.New(rand.NewSource(seed))
 	nBanks := n / 30
 	if nBanks < 4 {
-		nBanks = 4
+		nBanks = min(4, n)
 	}
 	b := graph.NewBuilder(n)
 	// Dense interbank core.

@@ -25,6 +25,14 @@
 // never re-pays the orbit-counting and Laplacian construction stages.
 // Uploaded datasets are content-hashed into the same caches: re-uploading
 // identical graphs under a new id still hits both.
+//
+// An align job is a sweep of one. POST /v1/align and POST /v1/sweep share
+// one admission path: it resolves a request to its entries (the config,
+// or the configs list) and one result-cache key per entry, answers 200
+// when the cache holds every entry and otherwise queues one job. The job
+// runs one loop: it probes each entry's key again, so an entry an
+// identical twin cached while the job waited is served from the cache,
+// then prepares the pair once and aligns the entries that missed.
 package server
 
 import (
@@ -46,11 +54,11 @@ import (
 // uniform validation policy, shared with every ingest format reader.
 type GraphSpec = ingest.GraphSpec
 
-// AlignRequest is the body of POST /v1/align. A request names either a
-// built-in dataset (Dataset, with N/DataSeed/Remove tuning the generator)
-// or carries both graphs inline (Source/Target, with an optional Truth
-// map enabling evaluation). Config selects the pipeline hyperparameters;
-// omitted fields mean the paper's defaults.
+// AlignRequest is the body of POST /v1/align and POST /v1/sweep. A
+// request names either a built-in dataset (Dataset, with N/DataSeed/Remove
+// tuning the generator) or carries both graphs inline (Source/Target, with
+// an optional Truth map enabling evaluation). Config selects the pipeline
+// hyperparameters; omitted fields mean the paper's defaults.
 type AlignRequest struct {
 	// Dataset names a built-in pair (see Datasets()) or a dataset
 	// previously uploaded via PUT /v1/datasets/{id}; uploads win name
@@ -96,16 +104,19 @@ type AlignRequest struct {
 	// built-ins and inline pairs); its content hash keys the result
 	// cache instead of the mutable dataset id.
 	upload *storedDataset
-	// sweepKeys memoises the per-config result-cache keys the sweep
-	// handler computed at submit time, so the worker doesn't re-serialise
-	// a large inline pair once per config.
-	sweepKeys []string
+	// entries are the configs the job runs, resolved at admission: Config
+	// alone on POST /v1/align, Configs on POST /v1/sweep. keys holds one
+	// result-cache key per entry, so the worker never re-serialises a
+	// large inline pair.
+	entries []core.Config
+	keys    []string
 }
 
 // validate performs the request checks that don't require running the
-// pipeline; every failure maps to a 400. store resolves dataset names
-// that refer to uploads.
-func (r *AlignRequest) validate(maxNodes int, store *lru[string, *storedDataset]) error {
+// pipeline, then resolves the entries the endpoint runs (sweep selects
+// POST /v1/sweep's shape) and their result-cache keys; every failure
+// maps to a 400. store resolves dataset names that refer to uploads.
+func (r *AlignRequest) validate(maxNodes int, store *lru[string, *storedDataset], sweep bool) error {
 	inline := r.Source != nil || r.Target != nil
 	switch {
 	case r.Dataset != "" && inline:
@@ -143,6 +154,9 @@ func (r *AlignRequest) validate(maxNodes int, store *lru[string, *storedDataset]
 			}
 		}
 	}
+	if r.N < 0 {
+		return fmt.Errorf("n=%d is negative (0 selects the generator's default size)", r.N)
+	}
 	if r.Remove < 0 || r.Remove >= 1 {
 		return fmt.Errorf("remove=%v outside [0,1)", r.Remove)
 	}
@@ -162,7 +176,7 @@ func (r *AlignRequest) validate(maxNodes int, store *lru[string, *storedDataset]
 			return fmt.Errorf("configs[%d]: %w", i, err)
 		}
 	}
-	return nil
+	return r.resolveEntries(sweep)
 }
 
 // buildInline materialises and validates an inline graph pair — specs,
@@ -238,36 +252,46 @@ func validateSimilarity(cfg core.Config, pair *datasets.Pair) error {
 // small enough that a single job cannot monopolise a worker forever.
 const MaxSweepConfigs = 32
 
-// validateSingle layers the /v1/align-only checks on top of validate.
-func (r *AlignRequest) validateSingle() error {
-	if len(r.Configs) > 0 {
+// resolveEntries applies the endpoint's shape rule — an align request
+// runs its one config; a sweep runs 1..MaxSweepConfigs configs and
+// leaves the singular config empty — and keys each entry under the
+// identity of the equivalent /v1/align request, so sweeps and single
+// submissions share result-cache entries both ways.
+func (r *AlignRequest) resolveEntries(sweep bool) error {
+	switch {
+	case !sweep && len(r.Configs) > 0:
 		return fmt.Errorf("config lists belong to POST /v1/sweep; /v1/align takes a single config")
-	}
-	return nil
-}
-
-// validateSweep layers the /v1/sweep-only checks on top of validate.
-func (r *AlignRequest) validateSweep() error {
-	if len(r.Configs) == 0 {
+	case !sweep:
+		r.entries = []core.Config{r.Config}
+	case len(r.Configs) == 0:
 		return fmt.Errorf("sweep requests need a non-empty configs list")
-	}
-	if len(r.Configs) > MaxSweepConfigs {
+	case len(r.Configs) > MaxSweepConfigs:
 		return fmt.Errorf("at most %d configs per sweep, got %d", MaxSweepConfigs, len(r.Configs))
-	}
-	if !reflect.DeepEqual(r.Config, core.Config{}) {
+	case !reflect.DeepEqual(r.Config, core.Config{}):
 		return fmt.Errorf("sweep requests list configurations under configs; the singular config field must be empty")
+	default:
+		r.entries = r.Configs
+	}
+	one := *r
+	r.keys = make([]string, len(r.entries))
+	for i, cfg := range r.entries {
+		one.Config = cfg
+		key, err := cacheKey(&one)
+		if err != nil {
+			return err
+		}
+		r.keys[i] = key
 	}
 	return nil
 }
 
-// singleRequest derives the equivalent single-config request of one sweep
-// entry — the identity under which its result is cached, so sweeps and
-// individual /v1/align submissions share cache entries both ways.
-func (r *AlignRequest) singleRequest(cfg core.Config) *AlignRequest {
-	single := *r
-	single.Config = cfg
-	single.Configs = nil
-	return &single
+// payload is what a finished job holds: an align job's one result, or
+// the whole sweep.
+func (r *AlignRequest) payload(sweep *SweepResult) any {
+	if len(r.Configs) == 0 {
+		return sweep.Results[0].Result
+	}
+	return sweep
 }
 
 // cutoffs returns the sorted, deduplicated precision@q cutoffs, applying

@@ -105,30 +105,22 @@ func canonicalRemove(req *AlignRequest) float64 {
 	return req.Remove
 }
 
-// resolvePair materialises the graph pair of a validated request: the
-// memoised upload or inline pair when validation already built one, the
-// named built-in generator otherwise.
-func resolvePair(req *AlignRequest, maxNodes int) (*datasets.Pair, error) {
+// resolvePair materialises the graph pair of an admitted request: the
+// upload or inline pair admission memoised, the named built-in
+// generator's otherwise.
+func resolvePair(req *AlignRequest) (*datasets.Pair, error) {
 	if req.builtPair != nil {
 		return req.builtPair, nil
 	}
-	if req.Dataset != "" {
-		b, err := lookupDataset(req.Dataset)
-		if err != nil {
-			return nil, err
-		}
-		remove := req.Remove
-		if remove == 0 {
-			remove = 0.1
-		}
-		return b.fn(req.N, req.DataSeed, remove), nil
-	}
-	// A request that arrived without validation (direct queue use in
-	// tests): build the inline pair now.
-	if err := req.buildInline(maxNodes); err != nil {
+	b, err := lookupDataset(req.Dataset)
+	if err != nil {
 		return nil, err
 	}
-	return req.builtPair, nil
+	remove := req.Remove
+	if remove == 0 {
+		remove = 0.1
+	}
+	return b.fn(req.N, req.DataSeed, remove), nil
 }
 
 // maxDatasetIDLen bounds uploaded dataset ids.

@@ -34,14 +34,14 @@ var ErrQueueFull = errors.New("server: job queue is full")
 // ErrQueueClosed reports a submission after shutdown began.
 var ErrQueueClosed = errors.New("server: job queue is closed")
 
-// Job is one alignment submission moving through the queue. All mutable
-// state is guarded by mu; Info snapshots it for serialisation.
+// Job is one alignment submission moving through the queue: an align
+// job is a sweep of one entry. All mutable state is guarded by mu; Info
+// snapshots it for serialisation.
 type Job struct {
 	ID string
-	// Req is the validated request; CacheKey its content hash (empty for
-	// sweep jobs, whose results are cached per config instead).
-	Req      *AlignRequest
-	CacheKey string
+	// Req is the admitted request, its entries and their result-cache
+	// keys resolved.
+	Req *AlignRequest
 
 	ctx    context.Context
 	cancel context.CancelFunc
@@ -202,12 +202,13 @@ func (q *Queue) newID() string {
 	return fmt.Sprintf("job-%06d-%s", q.seq.Add(1), hex.EncodeToString(buf[:]))
 }
 
-// Submit enqueues a validated request. It never blocks: when the backlog
-// is full it fails with ErrQueueFull.
-func (q *Queue) Submit(req *AlignRequest, cacheKey string) (*Job, error) {
+// Submit enqueues an admitted request, whose entries the runner probes in
+// the result cache again when the job starts. It never blocks: when the
+// backlog is full it fails with ErrQueueFull.
+func (q *Queue) Submit(req *AlignRequest) (*Job, error) {
 	ctx, cancel := context.WithCancel(q.baseCtx)
 	job := &Job{
-		ID: q.newID(), Req: req, CacheKey: cacheKey,
+		ID: q.newID(), Req: req,
 		ctx: ctx, cancel: cancel,
 		enqSeq: q.enq.Add(1),
 		status: StatusQueued, submitted: time.Now(),
@@ -235,15 +236,16 @@ func (q *Queue) Submit(req *AlignRequest, cacheKey string) (*Job, error) {
 	}
 }
 
-// Record registers an already-finished job — the cache-hit path, so that
-// polling works uniformly for cached submissions. res is an *AlignResult
-// or *SweepResult.
-func (q *Queue) Record(req *AlignRequest, cacheKey string, res any) *Job {
+// Record registers an already-finished job — the path of a submission
+// whose every entry the result cache holds, so that polling works
+// uniformly for cached submissions. res is an *AlignResult or
+// *SweepResult.
+func (q *Queue) Record(req *AlignRequest, res any) *Job {
 	ctx, cancel := context.WithCancel(q.baseCtx)
 	cancel()
 	now := time.Now()
 	job := &Job{
-		ID: q.newID(), Req: req, CacheKey: cacheKey,
+		ID: q.newID(), Req: req,
 		ctx: ctx, cancel: func() {},
 		status: StatusDone, result: res,
 		submitted: now, started: now, finished: now,

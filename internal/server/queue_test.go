@@ -41,7 +41,7 @@ func TestCancelReleasesWorker(t *testing.T) {
 	q := NewQueue(1, 4, blockingRunner(started), m, nil)
 	defer q.Close()
 
-	hog, err := q.Submit(&AlignRequest{Dataset: "slow"}, "k1")
+	hog, err := q.Submit(&AlignRequest{Dataset: "slow"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +51,7 @@ func TestCancelReleasesWorker(t *testing.T) {
 		t.Fatal("hog job never started")
 	}
 
-	next, err := q.Submit(&AlignRequest{Dataset: "fast"}, "k2")
+	next, err := q.Submit(&AlignRequest{Dataset: "fast"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,9 +85,9 @@ func TestCancelWhileQueuedSkipsRun(t *testing.T) {
 	q := NewQueue(1, 4, blockingRunner(started), nil, nil)
 	defer q.Close()
 
-	hog, _ := q.Submit(&AlignRequest{Dataset: "slow"}, "k1")
+	hog, _ := q.Submit(&AlignRequest{Dataset: "slow"})
 	<-started
-	queued, _ := q.Submit(&AlignRequest{Dataset: "fast"}, "k2")
+	queued, _ := q.Submit(&AlignRequest{Dataset: "fast"})
 
 	queued.Cancel()
 	if queued.Status() != StatusCancelled {
@@ -109,12 +109,12 @@ func TestQueueFull(t *testing.T) {
 	q := NewQueue(1, 1, blockingRunner(started), nil, nil)
 	defer q.Close()
 
-	hog, _ := q.Submit(&AlignRequest{Dataset: "slow"}, "k1")
+	hog, _ := q.Submit(&AlignRequest{Dataset: "slow"})
 	<-started // worker busy
-	if _, err := q.Submit(&AlignRequest{Dataset: "slow"}, "k2"); err != nil {
+	if _, err := q.Submit(&AlignRequest{Dataset: "slow"}); err != nil {
 		t.Fatalf("backlog slot should accept: %v", err)
 	}
-	if _, err := q.Submit(&AlignRequest{Dataset: "slow"}, "k3"); !errors.Is(err, ErrQueueFull) {
+	if _, err := q.Submit(&AlignRequest{Dataset: "slow"}); !errors.Is(err, ErrQueueFull) {
 		t.Fatalf("got %v, want ErrQueueFull", err)
 	}
 	hog.Cancel()
@@ -125,7 +125,7 @@ func TestSubmitAfterClose(t *testing.T) {
 		return &AlignResult{}, nil
 	}, nil, nil)
 	q.Close()
-	if _, err := q.Submit(&AlignRequest{Dataset: "fast"}, "k"); !errors.Is(err, ErrQueueClosed) {
+	if _, err := q.Submit(&AlignRequest{Dataset: "fast"}); !errors.Is(err, ErrQueueClosed) {
 		t.Fatalf("got %v, want ErrQueueClosed", err)
 	}
 }
@@ -137,7 +137,7 @@ func TestFailedJobReportsError(t *testing.T) {
 	}, nil, nil)
 	defer q.Close()
 
-	job, _ := q.Submit(&AlignRequest{Dataset: "x"}, "k")
+	job, _ := q.Submit(&AlignRequest{Dataset: "x"})
 	waitStatus(t, job, StatusFailed)
 	info := job.Info()
 	if info.Error != "boom" || info.Result != nil {
@@ -154,7 +154,7 @@ func TestRecordEviction(t *testing.T) {
 
 	ids := make([]string, 0, 6)
 	for i := 0; i < 6; i++ {
-		job := q.Record(&AlignRequest{}, "k", &AlignResult{Cached: true})
+		job := q.Record(&AlignRequest{}, &AlignResult{Cached: true})
 		ids = append(ids, job.ID)
 	}
 	if got := q.Len(); got != 3 {

@@ -148,7 +148,7 @@ func (s *Server) handleRefine(w http.ResponseWriter, r *http.Request) {
 			writeError(w, http.StatusBadRequest, fmt.Sprintf("job %q is a sweep; refine takes single-config alignment jobs", req.Job))
 			return
 		}
-		p, err := resolvePair(job.Req, s.opts.MaxNodes)
+		p, err := resolvePair(job.Req)
 		if err != nil {
 			writeError(w, http.StatusBadRequest, err.Error())
 			return
@@ -161,9 +161,9 @@ func (s *Server) handleRefine(w http.ResponseWriter, r *http.Request) {
 		for _, pr := range info.Result.Pairs {
 			match[pr[0]] = pr[1]
 		}
-		// The job's cache key is the content identity of its request, and
-		// the matching is a deterministic function of it.
-		identity = "job:" + job.CacheKey
+		// The key of the job's one entry is the content identity of its
+		// request, and the matching is a deterministic function of it.
+		identity = "job:" + job.Req.keys[0]
 		input = "job"
 	} else {
 		ds, ok := s.datasets.get(req.Dataset)

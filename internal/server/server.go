@@ -112,7 +112,7 @@ func New(opts Options) *Server {
 	}
 	s.queue = NewQueue(opts.Workers, opts.QueueDepth, s.runJob, s.metrics, opts.Log)
 	s.mux.HandleFunc("POST /v1/align", s.handleSubmit)
-	s.mux.HandleFunc("POST /v1/sweep", s.handleSweep)
+	s.mux.HandleFunc("POST /v1/sweep", s.handleSubmit)
 	s.mux.HandleFunc("POST /v1/refine", s.handleRefine)
 	s.mux.HandleFunc("GET /v1/jobs/{id}", s.handleJob)
 	s.mux.HandleFunc("DELETE /v1/jobs/{id}", s.handleCancel)
@@ -172,141 +172,100 @@ func (s *Server) jobConfig(job *Job, cfg core.Config, cfgIdx, cfgTotal int) core
 	return cfg
 }
 
-// runJob is the queue's Runner: materialise the pair, fetch or build its
-// prepared artifacts, run the staged pipeline for one config (or a whole
-// sweep of them) under the job's context, extract matchings, evaluate,
-// cache.
+// runJob is the queue's Runner, one loop for align and sweep jobs alike:
+// materialise the pair, probe every entry's key (an entry a twin job
+// cached since admission is served from the result cache), prepare the
+// pair once from the first entry that runs, align the rest over the same
+// prepared artifacts, evaluate, cache each result under its entry's key.
+// An align job's error fails the job; a sweep keeps each entry's error in
+// its entry, and only cancellation aborts it.
 func (s *Server) runJob(ctx context.Context, job *Job) (any, error) {
-	pair, err := resolvePair(job.Req, s.opts.MaxNodes)
+	// n counts a sweep's configs; an align job (n = 0) reports no sweep
+	// coordinates, so entry i is located at min(i+1, n) of n.
+	req, n := job.Req, len(job.Req.Configs)
+	pair, err := resolvePair(req)
 	if err != nil {
 		return nil, err
 	}
 	if s.opts.MaxNodes > 0 && (pair.Source.N() > s.opts.MaxNodes || pair.Target.N() > s.opts.MaxNodes) {
 		return nil, fmt.Errorf("dataset exceeds server limit of %d nodes", s.opts.MaxNodes)
 	}
-	if job.Req.upload != nil {
+	if req.upload != nil {
 		s.metrics.DatasetAlignRuns.Add(1)
 	}
-
-	if len(job.Req.Configs) > 0 {
-		return s.runSweep(ctx, job, pair)
-	}
-
-	cfg := s.jobConfig(job, job.Req.Config, 0, 0)
-	prep, prepHit, err := s.preparedFor(ctx, pair, cfg)
-	if err != nil {
-		return nil, err
-	}
-	out, err := s.alignConfig(ctx, job, pair, prep, cfg, job.CacheKey, prepHit, !prepHit)
-	if err != nil {
-		return nil, err
-	}
-	if s.opts.Log != nil {
-		s.opts.Log.Printf("job %s done in %.0fms (%d pairs)", job.ID, out.TimingsMS.Total, len(out.Pairs))
-	}
-	return out, nil
-}
-
-// runSweep executes every config of a sweep job over one shared Prepared
-// pair: stages 1–2 run at most once per aggregation family for the whole
-// sweep (and not at all on an artifact-cache hit). Each entry's result
-// lands in the single-config result cache under the identity of the
-// equivalent /v1/align request, so sweeps and individual submissions
-// share cache entries both ways. Per-entry pipeline errors are recorded
-// in the entry; only cancellation aborts the job.
-func (s *Server) runSweep(ctx context.Context, job *Job, pair *datasets.Pair) (*SweepResult, error) {
-	configs := job.Req.Configs
-	s.metrics.SweepConfigs.Add(int64(len(configs)))
-	sweep := &SweepResult{Results: make([]SweepEntry, len(configs))}
-
-	// Resolve the per-config cache keys (precomputed by the submit
-	// handler; recomputed only if this job arrived without them) and
-	// probe the result cache for every entry up front — a sweep must
-	// never pay an artifact build on behalf of entries it won't run.
-	keys := make([]string, len(configs))
-	pending := make([]int, 0, len(configs))
-	for i, reqCfg := range configs {
-		entry := &sweep.Results[i]
-		entry.Config = canonicalConfig(reqCfg)
-		if i < len(job.Req.sweepKeys) {
-			keys[i] = job.Req.sweepKeys[i]
-		} else {
-			k, err := cacheKey(job.Req.singleRequest(reqCfg))
-			if err != nil {
-				entry.Error = err.Error()
-				continue
-			}
-			keys[i] = k
-		}
-		if cached := s.cachedResult(keys[i]); cached != nil {
-			s.metrics.CacheHits.Add(1)
-			entry.Result = cached
-			continue
-		}
-		s.metrics.CacheMisses.Add(1)
-		pending = append(pending, i)
-	}
+	s.metrics.SweepConfigs.Add(int64(n))
+	sweep, pending := s.probe(req)
+	s.metrics.CacheHits.Add(int64(len(req.entries) - len(pending)))
+	s.metrics.CacheMisses.Add(int64(len(pending)))
 	if len(pending) == 0 {
-		// Every entry was served from the result cache (they must have
-		// been cached after the submit-time check): nothing to prepare.
 		sweep.PairHash = core.PairHash(pair.Source, pair.Target)
-		sweep.PreparedCached = true
-		return sweep, nil
+		return req.payload(sweep), nil
 	}
 
-	// Prepare (or fetch) the shared artifacts, seeded by the first config
-	// that actually runs.
-	prep, prepHit, err := s.preparedFor(ctx, pair, s.jobConfig(job, configs[pending[0]], pending[0]+1, len(configs)))
+	// A job never pays an artifact build on behalf of entries it won't
+	// run: the first entry that runs seeds the prepared pair.
+	prep, prepHit, err := s.preparedFor(ctx, pair, s.jobConfig(job, req.entries[pending[0]], min(pending[0]+1, n), n))
 	if err != nil {
 		return nil, err
 	}
-	sweep.PairHash = prep.Hash()
-	sweep.PreparedCached = prepHit
-	// The eager artifact build inside Prepare is paid once for the whole
-	// sweep; attribute it to the first entry that actually runs, so the
-	// per-entry stage decompositions sum to the job's true cost.
-	foldPrep := !prepHit
+	sweep.PairHash, sweep.PreparedCached = prep.Hash(), prepHit
+	// Prepare's eager artifact build is paid once for the whole job; it is
+	// charged to the first entry that runs, so the per-entry stage
+	// decompositions sum to the job's true cost.
+	fold := !prepHit
 	for _, i := range pending {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		entry := &sweep.Results[i]
-		cfg := s.jobConfig(job, configs[i], i+1, len(configs))
-		out, err := s.alignConfig(ctx, job, pair, prep, cfg, keys[i], prepHit || i != pending[0], foldPrep)
+		res, err := prep.AlignContext(ctx, s.jobConfig(job, req.entries[i], min(i+1, n), n))
 		if err != nil {
-			if ctx.Err() != nil {
+			if ctx.Err() != nil || n == 0 {
 				return nil, err
 			}
-			entry.Error = err.Error()
+			sweep.Results[i].Error = err.Error()
 			continue
 		}
-		foldPrep = false
-		entry.Result = out
+		s.metrics.recordBackend(res)
+		if fold {
+			prep.FoldPrepareTimings(&res.Timings)
+			fold = false
+		}
+		out := buildResult(res, pair, req.cutoffs())
+		out.PreparedCached = prepHit || i != pending[0]
+		s.results.put(req.keys[i], *out)
+		sweep.Results[i].Result = out
 	}
 	if s.opts.Log != nil {
-		s.opts.Log.Printf("job %s swept %d configs, %d run (pair %.12s…)", job.ID, len(sweep.Results), len(pending), sweep.PairHash)
+		s.opts.Log.Printf("job %s ran %d of %d configs (pair %.12s…)", job.ID, len(pending), len(req.entries), sweep.PairHash)
 	}
-	return sweep, nil
+	return req.payload(sweep), nil
 }
 
-// alignConfig runs one resolved config of a job over its prepared pair,
-// converts the outcome into the API payload and caches it under key.
-// prepCached reports that the run reuses artifacts it did not build;
-// foldPrep charges Prepare's eager artifact build to this run's stage
-// decomposition, like the one-shot API does.
-func (s *Server) alignConfig(ctx context.Context, job *Job, pair *datasets.Pair, prep *core.Prepared, cfg core.Config, key string, prepCached, foldPrep bool) (*AlignResult, error) {
-	res, err := prep.AlignContext(ctx, cfg)
-	if err != nil {
-		return nil, err
+// probe assembles a request's entries from the result cache: the sweep
+// holds every entry's normalised config and each cached result (flagged
+// Cached), pending the indices of the entries the cache misses.
+func (s *Server) probe(req *AlignRequest) (sweep *SweepResult, pending []int) {
+	sweep = &SweepResult{PreparedCached: true, Results: make([]SweepEntry, len(req.entries))}
+	for i, cfg := range req.entries {
+		sweep.Results[i] = SweepEntry{Config: canonicalConfig(cfg), Result: s.cachedResult(req.keys[i])}
+		if sweep.Results[i].Result == nil {
+			pending = append(pending, i)
+		}
 	}
-	s.metrics.recordBackend(res)
-	if foldPrep {
-		prep.FoldPrepareTimings(&res.Timings)
+	return sweep, pending
+}
+
+// admit decodes a POST /v1/align body (sweep false) or a POST /v1/sweep
+// body, validates it under the endpoint's shape rule and resolves its
+// entries and their result-cache keys; a nil return means the error
+// response was already written.
+func (s *Server) admit(w http.ResponseWriter, r *http.Request, sweep bool) *AlignRequest {
+	var req AlignRequest
+	if !s.decodeBody(w, r, &req) {
+		return nil
 	}
-	out := buildResult(res, pair, job.Req.cutoffs())
-	out.PreparedCached = prepCached
-	s.results.put(key, *out)
-	return out, nil
+	if err := req.validate(s.opts.MaxNodes, s.datasets, sweep); err != nil {
+		writeError(w, http.StatusBadRequest, err.Error())
+		return nil
+	}
+	return &req
 }
 
 // cachedResult returns a copy of the result cached under key, flagged
@@ -429,20 +388,6 @@ func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v any) bool 
 	return false
 }
 
-// decodeRequest parses and validates a submission body; a nil return
-// means the error response was already written.
-func (s *Server) decodeRequest(w http.ResponseWriter, r *http.Request) *AlignRequest {
-	var req AlignRequest
-	if !s.decodeBody(w, r, &req) {
-		return nil
-	}
-	if err := req.validate(s.opts.MaxNodes, s.datasets); err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
-		return nil
-	}
-	return &req
-}
-
 // handleDatasetPut ingests a dataset upload: both graphs through the
 // format registry, the ID-keyed truth through the resulting node maps.
 // It answers 201 on first upload and 200 on replacement.
@@ -507,9 +452,22 @@ func (s *Server) handleDatasetList(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// enqueue submits a validated request and writes the job response.
-func (s *Server) enqueue(w http.ResponseWriter, req *AlignRequest, cacheKey, kind string) {
-	job, err := s.queue.Submit(req, cacheKey)
+// handleSubmit serves POST /v1/align and POST /v1/sweep alike: an align
+// job is a sweep of one. When the result cache holds every entry the job
+// is answered finished (200); otherwise it queues as one job whose
+// entries share a single prepared pair (202).
+func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
+	req := s.admit(w, r, r.URL.Path == "/v1/sweep")
+	if req == nil {
+		return
+	}
+	if sweep, pending := s.probe(req); len(pending) == 0 {
+		s.metrics.CacheHits.Add(int64(len(req.entries)))
+		s.metrics.SweepConfigs.Add(int64(len(req.Configs)))
+		writeJSON(w, http.StatusOK, s.queue.Record(req, req.payload(sweep)).Info())
+		return
+	}
+	job, err := s.queue.Submit(req)
 	switch {
 	case errors.Is(err, ErrQueueFull):
 		w.Header().Set("Retry-After", "1")
@@ -523,84 +481,11 @@ func (s *Server) enqueue(w http.ResponseWriter, req *AlignRequest, cacheKey, kin
 		return
 	}
 	if s.opts.Log != nil {
-		s.opts.Log.Printf("%s job %s queued (dataset=%q inline=%v)", kind, job.ID, req.Dataset, req.Source != nil)
+		s.opts.Log.Printf("job %s queued (%d configs, dataset=%q)", job.ID, len(req.entries), req.Dataset)
 	}
 	info := job.Info()
 	info.QueuePosition = s.queue.Position(job)
-	writeJSON(w, http.StatusAccepted, info)
-}
-
-func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	req := s.decodeRequest(w, r)
-	if req == nil {
-		return
-	}
-	if err := req.validateSingle(); err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	key, err := cacheKey(req)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-
-	if cached := s.cachedResult(key); cached != nil {
-		s.metrics.CacheHits.Add(1)
-		job := s.queue.Record(req, key, cached)
-		writeJSON(w, http.StatusOK, job.Info())
-		return
-	}
-	s.metrics.CacheMisses.Add(1)
-	s.enqueue(w, req, key, "align")
-}
-
-// handleSweep accepts a multi-config submission: the same pair coordinates
-// as /v1/align plus a configs list. When every entry is already in the
-// result cache the sweep is assembled and answered immediately (200);
-// otherwise it queues as one job that shares a single prepared pair across
-// all entries.
-func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
-	req := s.decodeRequest(w, r)
-	if req == nil {
-		return
-	}
-	if err := req.validateSweep(); err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	keys := make([]string, len(req.Configs))
-	for i, cfg := range req.Configs {
-		key, err := cacheKey(req.singleRequest(cfg))
-		if err != nil {
-			writeError(w, http.StatusBadRequest, err.Error())
-			return
-		}
-		keys[i] = key
-	}
-	req.sweepKeys = keys
-
-	// Serve entirely from cache when possible — the sweep analogue of the
-	// single-submit cache-hit path.
-	sweep := &SweepResult{PreparedCached: true, Results: make([]SweepEntry, len(req.Configs))}
-	allCached := true
-	for i, cfg := range req.Configs {
-		cached := s.cachedResult(keys[i])
-		if cached == nil {
-			allCached = false
-			break
-		}
-		sweep.Results[i] = SweepEntry{Config: canonicalConfig(cfg), Result: cached}
-	}
-	if allCached {
-		s.metrics.CacheHits.Add(int64(len(keys)))
-		s.metrics.SweepConfigs.Add(int64(len(keys)))
-		job := s.queue.Record(req, "", sweep)
-		writeJSON(w, http.StatusOK, job.Info())
-		return
-	}
-
-	s.enqueue(w, req, "", "sweep")
+	writeJSON(w, http.StatusAccepted, &info)
 }
 
 func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {

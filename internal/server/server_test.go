@@ -208,6 +208,7 @@ func TestBadInputs(t *testing.T) {
 		{"negative nodes", `{"source":{"nodes":-1},"target":{"nodes":3}}`, http.StatusBadRequest},
 		{"over node limit", `{"source":{"nodes":500},"target":{"nodes":3}}`, http.StatusBadRequest},
 		{"n over limit", `{"dataset":"econ","n":5000}`, http.StatusBadRequest},
+		{"negative n", `{"dataset":"econ","n":-1}`, http.StatusBadRequest},
 		{"ragged attrs", `{"source":{"nodes":2,"attrs":[[1],[1,2]]},"target":{"nodes":2}}`, http.StatusBadRequest},
 		{"truth wrong length", `{"source":{"nodes":2},"target":{"nodes":2},"truth":[0]}`, http.StatusBadRequest},
 		{"truth out of range", `{"source":{"nodes":2},"target":{"nodes":2},"truth":[0,5]}`, http.StatusBadRequest},
@@ -375,6 +376,117 @@ func TestMetricsEndpoint(t *testing.T) {
 	// The traffic above fixes every value but the uptime.
 	uptime := regexp.MustCompile(`(?m)^htc_uptime_seconds .*$`)
 	compareGolden(t, "metrics.golden", uptime.ReplaceAll(buf.Bytes(), []byte("htc_uptime_seconds <uptime>")))
+}
+
+// slowBody is an align request that runs for a noticeable while (well
+// over 100 ms) yet finishes: long enough that requests posted right after
+// it find it still running.
+func slowBody(dataSeed int64) string {
+	return fmt.Sprintf(`{"dataset":"synthetic","n":150,"data_seed":%d,
+		"config":{"variant":"HTC-L","epochs":500,"hidden":8,"embed":4}}`, dataSeed)
+}
+
+// scrapeMetrics returns the /v1/metrics text.
+func scrapeMetrics(t *testing.T, ts *httptest.Server) string {
+	t.Helper()
+	resp, err := http.Get(ts.URL + "/v1/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	text, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(text)
+}
+
+// TestQueuedTwinServedFromCache: an align job is a sweep of one, so a
+// queued job whose identical twin finished first is answered from the
+// result cache when its turn comes instead of running again.
+func TestQueuedTwinServedFromCache(t *testing.T) {
+	ts := newTestServer(t, Options{Workers: 1})
+	var jobs []JobInfo
+	for i := 0; i < 2; i++ {
+		code, info := submit(t, ts, slowBody(61))
+		if code != http.StatusAccepted {
+			t.Fatalf("submit %d: %d, want 202", i, code)
+		}
+		jobs = append(jobs, info)
+	}
+	if first := waitFor(t, ts, jobs[0].ID, StatusDone); first.Result.Cached {
+		t.Error("the first job ran, yet its result claims to be cached")
+	}
+	twin := waitFor(t, ts, jobs[1].ID, StatusDone)
+	if twin.Result == nil || !twin.Result.Cached {
+		t.Fatal("queued twin ran again instead of being served from the cache")
+	}
+	text := scrapeMetrics(t, ts)
+	for _, want := range []string{"htc_sim_dense_runs_total 1", "htc_cache_misses_total 1", "htc_cache_hits_total 1"} {
+		if !strings.Contains(text, want+"\n") {
+			t.Errorf("metrics output missing %q:\n%s", want, text)
+		}
+	}
+}
+
+// TestRefusedSubmissionCountsNoMiss: htc_cache_misses_total counts the
+// entries that ran, so submissions the full queue refused count none.
+func TestRefusedSubmissionCountsNoMiss(t *testing.T) {
+	ts := newTestServer(t, Options{Workers: 1, QueueDepth: 1})
+	code, running := submit(t, ts, slowBody(71))
+	if code != http.StatusAccepted {
+		t.Fatalf("submit 0: %d, want 202", code)
+	}
+	// Only once the worker holds the first job does the backlog slot free.
+	deadline := time.Now().Add(30 * time.Second)
+	for {
+		if _, info := getJob(t, ts, running.ID); info.Status != StatusQueued {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("first job never started")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	admitted := []JobInfo{running}
+	for i, want := range []int{http.StatusAccepted, http.StatusTooManyRequests, http.StatusTooManyRequests} {
+		code, info := submit(t, ts, slowBody(int64(72+i)))
+		if code != want {
+			t.Fatalf("submit %d: %d, want %d", i+1, code, want)
+		}
+		if code == http.StatusAccepted {
+			admitted = append(admitted, info)
+		}
+	}
+	for _, info := range admitted {
+		waitFor(t, ts, info.ID, StatusDone)
+	}
+	text := scrapeMetrics(t, ts)
+	for _, want := range []string{"htc_cache_misses_total 2", "htc_jobs_rejected_total 2"} {
+		if !strings.Contains(text, want+"\n") {
+			t.Errorf("metrics output missing %q:\n%s", want, text)
+		}
+	}
+}
+
+// TestBuiltinsTinyN: every built-in generator is total down to a single
+// node, so each tiny request admission accepts also finishes.
+func TestBuiltinsTinyN(t *testing.T) {
+	ts := newTestServer(t, Options{Workers: 2, QueueDepth: 64})
+	var jobs [][2]string // subtest name, job id
+	for _, name := range Datasets() {
+		for n := 1; n <= 5; n++ {
+			body := fmt.Sprintf(`{"dataset":%q,"n":%d,"config":{"variant":"HTC-L","epochs":1,"hidden":4,"embed":2}}`, name, n)
+			code, info := submit(t, ts, body)
+			if code != http.StatusAccepted {
+				t.Fatalf("%s at n=%d: %d, want 202", name, n, code)
+			}
+			jobs = append(jobs, [2]string{fmt.Sprintf("%s/n=%d", name, n), info.ID})
+		}
+	}
+	for _, job := range jobs {
+		t.Run(job[0], func(t *testing.T) { waitFor(t, ts, job[1], StatusDone) })
+	}
 }
 
 // TestPanickingJobFailsAlone: a job whose pipeline panics (a hidden
