@@ -25,6 +25,8 @@ test:
 # index changes get a fast, targeted gate). The index's exact path is
 # the blocked scan the `topk` backend runs, and that scan's bit-exact
 # tests live in this suite, so the target gates the `topk` backend too.
+# TestRerankBitIdenticalToReference holds the hashed path's four-row
+# re-rank to the one-term loop's bits on both precision tiers.
 test-ann:
 	$(GO) test -race -count=1 ./internal/ann/...
 

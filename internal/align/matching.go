@@ -1,8 +1,9 @@
 package align
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
 
 	"github.com/htc-align/htc/internal/dense"
 )
@@ -67,11 +68,14 @@ func greedyDense(m *dense.Matrix) []int {
 		keys[i] = int64(i)
 	}
 	data := m.Data
-	sort.Slice(keys, func(a, b int) bool {
-		if data[keys[a]] != data[keys[b]] {
-			return data[keys[a]] > data[keys[b]]
+	slices.SortFunc(keys, func(a, b int64) int {
+		switch {
+		case data[a] > data[b]:
+			return -1
+		case data[a] < data[b]:
+			return 1
 		}
-		return keys[a] < keys[b]
+		return cmp.Compare(a, b)
 	})
 	cols := int64(m.Cols)
 	return greedyAssign(m.Rows, m.Cols, len(keys), func(i int) (int, int) {
@@ -95,15 +99,16 @@ func greedyCandidates(s Sim) []int {
 			entries = append(entries, entry{int32(i), int32(j), score})
 		})
 	}
-	sort.Slice(entries, func(a, b int) bool {
-		ea, eb := entries[a], entries[b]
-		if ea.score != eb.score {
-			return ea.score > eb.score
+	slices.SortFunc(entries, func(a, b entry) int {
+		switch {
+		case a.score > b.score:
+			return -1
+		case a.score < b.score:
+			return 1
+		case a.s != b.s:
+			return int(a.s) - int(b.s)
 		}
-		if ea.s != eb.s {
-			return ea.s < eb.s
-		}
-		return ea.t < eb.t
+		return int(a.t) - int(b.t)
 	})
 	return greedyAssign(rows, cols, len(entries), func(i int) (int, int) {
 		return int(entries[i].s), int(entries[i].t)

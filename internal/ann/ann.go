@@ -29,10 +29,11 @@
 // embeddings first, turning inner products into Pearson correlations.
 // Everything is deterministic: the hyperplanes are drawn from the seed,
 // bucket assembly is a stable counting sort, probe order breaks cost
-// ties by perturbation mask, and re-ranking scores every candidate with
-// the same sequential dot product as the dense kernel, so results are
-// identical for every worker count. The re-rank and the exact scan keep
-// the k best through internal/topk, so equal pools give equal output.
+// ties by perturbation mask, and the re-rank scores its pool four rows
+// per pass, each row summed in index order in its own accumulator (the
+// dense kernel's per-cell association), so results are identical for
+// every worker count. The re-rank and the exact scan keep the k best
+// through internal/topk, so equal pools give equal output.
 package ann
 
 import (
@@ -580,31 +581,47 @@ func (ix *Index) search(s *searcher, q []float64, q32 []float32, k int, outIdx [
 }
 
 // rerank counts the pool in the searcher's stats, scores every pool row
-// against the query by sequential dot product (the dense kernel's
-// per-cell association) and selects the k = len(outIdx) best through
-// topk.Select. On the f32 tier a score accumulates in float64 and rounds
-// to float32 before it widens, as dense.MulBTInto32 stores it.
+// against the query and selects the k = len(outIdx) best through
+// topk.Select. Rows are scored four per pass, each summed in index order
+// in its own accumulator (the dense kernel's per-cell association), and
+// a tail of one to three rows one per pass, so every score has the bits
+// of a sequential dot product. On the f32 tier a score accumulates in
+// float64 and rounds to float32 before it widens, as dense.MulBTInto32
+// stores it.
 func (ix *Index) rerank(s *searcher, q []float64, q32 []float32, outIdx []int32, outScore []float64) {
-	n := len(s.pool)
+	pool := s.pool
+	n := len(pool)
 	s.poolRows += int64(n)
 	if n > s.maxPool {
 		s.maxPool = n
 	}
 	sc := resize(s.scores, n)
-	for p, j := range s.pool {
-		if q32 != nil {
-			row := ix.data32.Row(int(j))
+	p := 0
+	if q32 != nil {
+		m := ix.data32
+		for ; p+4 <= n; p += 4 {
+			v0, v1, v2, v3 := dot4f32(q32, m.Row(int(pool[p])), m.Row(int(pool[p+1])), m.Row(int(pool[p+2])), m.Row(int(pool[p+3])))
+			sc[p], sc[p+1], sc[p+2], sc[p+3] = float64(float32(v0)), float64(float32(v1)), float64(float32(v2)), float64(float32(v3))
+		}
+		for ; p < n; p++ {
+			row := m.Row(int(pool[p]))
 			var v float64
 			for i, qv := range q32 {
 				v += float64(qv) * float64(row[i])
 			}
 			sc[p] = float64(float32(v))
-		} else {
-			sc[p] = dot(q, ix.data.Row(int(j)))
+		}
+	} else {
+		m := ix.data
+		for ; p+4 <= n; p += 4 {
+			sc[p], sc[p+1], sc[p+2], sc[p+3] = dot4(q, m.Row(int(pool[p])), m.Row(int(pool[p+1])), m.Row(int(pool[p+2])), m.Row(int(pool[p+3])))
+		}
+		for ; p < n; p++ {
+			sc[p] = dot(q, m.Row(int(pool[p])))
 		}
 	}
 	s.scores = sc
-	topk.Select(&s.sel, outIdx, outScore, s.pool, sc)
+	topk.Select(&s.sel, outIdx, outScore, pool, sc)
 }
 
 // gather appends one bucket's rows to the candidate pool. Buckets
@@ -790,6 +807,33 @@ func dot(a, b []float64) float64 {
 		s += v * b[i]
 	}
 	return s
+}
+
+// dot4 returns the dot products of a with b0, b1, b2 and b3, each summed
+// in index order in its own accumulator, so each has dot's bits.
+func dot4(a, b0, b1, b2, b3 []float64) (s0, s1, s2, s3 float64) {
+	b0, b1, b2, b3 = b0[:len(a)], b1[:len(a)], b2[:len(a)], b3[:len(a)]
+	for i, v := range a {
+		s0 += v * b0[i]
+		s1 += v * b1[i]
+		s2 += v * b2[i]
+		s3 += v * b3[i]
+	}
+	return s0, s1, s2, s3
+}
+
+// dot4f32 is dot4 over f32-tier rows: every value widens to float64 and
+// each of the four sums accumulates in float64, in index order.
+func dot4f32(a, b0, b1, b2, b3 []float32) (s0, s1, s2, s3 float64) {
+	b0, b1, b2, b3 = b0[:len(a)], b1[:len(a)], b2[:len(a)], b3[:len(a)]
+	for i, v := range a {
+		w := float64(v)
+		s0 += w * float64(b0[i])
+		s1 += w * float64(b1[i])
+		s2 += w * float64(b2[i])
+		s3 += w * float64(b3[i])
+	}
+	return s0, s1, s2, s3
 }
 
 // dot32 is the mixed-precision inner product of the f32 tier's hashing

@@ -7,6 +7,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
@@ -138,6 +139,97 @@ func TestHashedFullGatherMatchesBruteForce(t *testing.T) {
 	want := bruteTopK(queries, data, data.Rows)
 	if !reflect.DeepEqual(got.Idx, want.Idx) || !reflect.DeepEqual(got.Score, want.Score) {
 		t.Fatal("k = n forces a full gather; result must equal brute force")
+	}
+}
+
+// zeroSaltedRows returns an n×d matrix of normal draws salted with
+// isolated +0 and -0 entries and all-zero rows of either sign, the
+// entries on which a kernel that seeded or grouped its sums differently
+// from the one-term loop would give other bits.
+func zeroSaltedRows(n, d int, rng *rand.Rand) *dense.Matrix {
+	m := dense.New(n, d)
+	for i := 0; i < n; i++ {
+		row := m.Row(i)
+		if rng.Intn(8) == 0 {
+			if rng.Intn(2) == 0 {
+				for j := range row {
+					row[j] = math.Copysign(0, -1)
+				}
+			}
+			continue
+		}
+		for j := range row {
+			switch u := rng.Float64(); {
+			case u < 0.2:
+			case u < 0.3:
+				row[j] = math.Copysign(0, -1)
+			default:
+				row[j] = rng.NormFloat64()
+			}
+		}
+	}
+	return m
+}
+
+// TestRerankBitIdenticalToReference: the hashed path's re-rank scores its
+// pool four rows per pass and a one- to three-row tail one row per pass,
+// and every score must carry the bits of the one-term loop, on both
+// tiers. With k = n the probe loop gathers every row, so the pool is the
+// whole matrix; pool sizes 1–9 reach every residue mod 4, at widths from
+// 1 to 17, on zero-salted inputs.
+func TestRerankBitIdenticalToReference(t *testing.T) {
+	const nq = 6
+	p := Params{Bits: 2, Probes: 1, Seed: 3}
+	for _, d := range []int{1, 3, 4, 5, 16, 17} {
+		for n := 1; n <= 9; n++ {
+			rng := rand.New(rand.NewSource(int64(100*d + n)))
+			data, queries := zeroSaltedRows(n, d, rng), zeroSaltedRows(nq, d, rng)
+			data32, queries32 := to32(data), to32(queries)
+			for _, tier := range []struct {
+				name string
+				run  func(ix *Index) *Result
+				ref  func(q, j int) float64
+			}{
+				{"f64", func(ix *Index) *Result {
+					ix.Fit(data, 1)
+					return ix.TopK(queries, n, 1)
+				}, func(q, j int) float64 {
+					var s float64
+					for i, v := range queries.Row(q) {
+						s += v * data.Row(j)[i]
+					}
+					return s
+				}},
+				{"f32", func(ix *Index) *Result {
+					ix.Fit32(data32, 1)
+					return ix.TopK32(queries32, n, 1)
+				}, func(q, j int) float64 {
+					var s float64
+					for i, v := range queries32.Row(q) {
+						s += float64(v) * float64(data32.Row(j)[i])
+					}
+					return float64(float32(s))
+				}},
+			} {
+				ix := New(p)
+				got := tier.run(ix)
+				if st := ix.Stats(); st.Rows != int64(n) || st.PoolRows != int64(nq*n) {
+					t.Fatalf("%s d=%d n=%d: stats %+v, want every row hashed and pooled", tier.name, d, n, st)
+				}
+				for q := range nq {
+					seen := make([]bool, n)
+					for r, j := range got.Idx[q] {
+						seen[j] = true
+						if g, w := got.Score[q][r], tier.ref(q, int(j)); math.Float64bits(g) != math.Float64bits(w) {
+							t.Fatalf("%s d=%d n=%d query %d row %d: score %v, want %v", tier.name, d, n, q, j, g, w)
+						}
+					}
+					if slices.Contains(seen, false) {
+						t.Fatalf("%s d=%d n=%d query %d: rows %v, want all %d", tier.name, d, n, q, got.Idx[q], n)
+					}
+				}
+			}
+		}
 	}
 }
 

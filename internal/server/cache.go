@@ -15,9 +15,10 @@ import (
 // resolved request — graphs (or dataset coordinates), normalised pipeline
 // config and evaluation cutoffs — serialised canonically and hashed.
 // Requests that differ only in fields the run ignores (an unset epoch
-// count vs the explicit default) map to the same key. Workers is excluded:
-// parallelism never changes the result, so requests differing only in
-// their CPU budget share one cache entry.
+// count vs the explicit default, an inline pair's n or data_seed) map to
+// the same key. Workers is excluded: parallelism never changes the
+// result, so requests differing only in their CPU budget share one cache
+// entry.
 func cacheKey(req *AlignRequest) (string, error) {
 	canonical := struct {
 		Dataset  string      `json:"dataset,omitempty"`
@@ -40,6 +41,10 @@ func cacheKey(req *AlignRequest) (string, error) {
 		Truth:    req.Truth,
 		Config:   canonicalConfig(req.Config),
 		HitsAt:   req.cutoffs(),
+	}
+	if req.Dataset == "" {
+		// An inline pair ignores the generator's size and seed.
+		canonical.N, canonical.DataSeed = 0, 0
 	}
 	if req.upload != nil {
 		// An uploaded dataset's cache identity is its content (graphs +

@@ -203,9 +203,12 @@ func (q *Queue) newID() string {
 }
 
 // Submit enqueues an admitted request, whose entries the runner probes in
-// the result cache again when the job starts. It never blocks: when the
-// backlog is full it fails with ErrQueueFull.
-func (q *Queue) Submit(req *AlignRequest) (*Job, error) {
+// the result cache again when the job starts, and returns the job with a
+// snapshot of it as admitted: queued, at its queue position. The snapshot
+// is taken before the job enters the backlog, so a worker that claims it
+// at once cannot change it. Submit never blocks: when the backlog is full
+// it fails with ErrQueueFull.
+func (q *Queue) Submit(req *AlignRequest) (*Job, JobInfo, error) {
 	ctx, cancel := context.WithCancel(q.baseCtx)
 	job := &Job{
 		ID: q.newID(), Req: req,
@@ -217,22 +220,24 @@ func (q *Queue) Submit(req *AlignRequest) (*Job, error) {
 	if q.closed {
 		q.mu.Unlock()
 		cancel()
-		return nil, ErrQueueClosed
+		return nil, JobInfo{}, ErrQueueClosed
 	}
 	q.jobs[job.ID] = job
 	q.mu.Unlock()
+	info := job.Info()
+	info.QueuePosition = q.Position(job)
 
 	select {
 	case q.ch <- job:
 		q.metrics.JobsSubmitted.Add(1)
-		return job, nil
+		return job, info, nil
 	default:
 		q.mu.Lock()
 		delete(q.jobs, job.ID)
 		q.mu.Unlock()
 		cancel()
 		q.metrics.JobsRejected.Add(1)
-		return nil, ErrQueueFull
+		return nil, JobInfo{}, ErrQueueFull
 	}
 }
 

@@ -41,7 +41,7 @@ func TestCancelReleasesWorker(t *testing.T) {
 	q := NewQueue(1, 4, blockingRunner(started), m, nil)
 	defer q.Close()
 
-	hog, err := q.Submit(&AlignRequest{Dataset: "slow"})
+	hog, _, err := q.Submit(&AlignRequest{Dataset: "slow"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +51,7 @@ func TestCancelReleasesWorker(t *testing.T) {
 		t.Fatal("hog job never started")
 	}
 
-	next, err := q.Submit(&AlignRequest{Dataset: "fast"})
+	next, _, err := q.Submit(&AlignRequest{Dataset: "fast"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,9 +85,9 @@ func TestCancelWhileQueuedSkipsRun(t *testing.T) {
 	q := NewQueue(1, 4, blockingRunner(started), nil, nil)
 	defer q.Close()
 
-	hog, _ := q.Submit(&AlignRequest{Dataset: "slow"})
+	hog, _, _ := q.Submit(&AlignRequest{Dataset: "slow"})
 	<-started
-	queued, _ := q.Submit(&AlignRequest{Dataset: "fast"})
+	queued, _, _ := q.Submit(&AlignRequest{Dataset: "fast"})
 
 	queued.Cancel()
 	if queued.Status() != StatusCancelled {
@@ -104,17 +104,37 @@ func TestCancelWhileQueuedSkipsRun(t *testing.T) {
 	}
 }
 
+// TestSubmitAnswersAsAdmitted: Submit's snapshot is the job as admitted,
+// queued at position 1 on an idle queue, even though the idle worker
+// claims the job at once and may finish it before Submit returns.
+func TestSubmitAnswersAsAdmitted(t *testing.T) {
+	q := NewQueue(1, 4, func(ctx context.Context, job *Job) (any, error) {
+		return &AlignResult{}, nil
+	}, nil, nil)
+	defer q.Close()
+	for i := 0; i < 50; i++ {
+		job, info, err := q.Submit(&AlignRequest{Dataset: "fast"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if info.ID != job.ID || info.Status != StatusQueued || info.QueuePosition != 1 {
+			t.Fatalf("submit %d answered %+v, want job %s queued at position 1", i, info, job.ID)
+		}
+		waitStatus(t, job, StatusDone)
+	}
+}
+
 func TestQueueFull(t *testing.T) {
 	started := make(chan *Job, 8)
 	q := NewQueue(1, 1, blockingRunner(started), nil, nil)
 	defer q.Close()
 
-	hog, _ := q.Submit(&AlignRequest{Dataset: "slow"})
+	hog, _, _ := q.Submit(&AlignRequest{Dataset: "slow"})
 	<-started // worker busy
-	if _, err := q.Submit(&AlignRequest{Dataset: "slow"}); err != nil {
+	if _, _, err := q.Submit(&AlignRequest{Dataset: "slow"}); err != nil {
 		t.Fatalf("backlog slot should accept: %v", err)
 	}
-	if _, err := q.Submit(&AlignRequest{Dataset: "slow"}); !errors.Is(err, ErrQueueFull) {
+	if _, _, err := q.Submit(&AlignRequest{Dataset: "slow"}); !errors.Is(err, ErrQueueFull) {
 		t.Fatalf("got %v, want ErrQueueFull", err)
 	}
 	hog.Cancel()
@@ -125,7 +145,7 @@ func TestSubmitAfterClose(t *testing.T) {
 		return &AlignResult{}, nil
 	}, nil, nil)
 	q.Close()
-	if _, err := q.Submit(&AlignRequest{Dataset: "fast"}); !errors.Is(err, ErrQueueClosed) {
+	if _, _, err := q.Submit(&AlignRequest{Dataset: "fast"}); !errors.Is(err, ErrQueueClosed) {
 		t.Fatalf("got %v, want ErrQueueClosed", err)
 	}
 }
@@ -137,7 +157,7 @@ func TestFailedJobReportsError(t *testing.T) {
 	}, nil, nil)
 	defer q.Close()
 
-	job, _ := q.Submit(&AlignRequest{Dataset: "x"})
+	job, _, _ := q.Submit(&AlignRequest{Dataset: "x"})
 	waitStatus(t, job, StatusFailed)
 	info := job.Info()
 	if info.Error != "boom" || info.Result != nil {

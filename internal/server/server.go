@@ -467,7 +467,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, s.queue.Record(req, req.payload(sweep)).Info())
 		return
 	}
-	job, err := s.queue.Submit(req)
+	job, info, err := s.queue.Submit(req)
 	switch {
 	case errors.Is(err, ErrQueueFull):
 		w.Header().Set("Retry-After", "1")
@@ -483,8 +483,6 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if s.opts.Log != nil {
 		s.opts.Log.Printf("job %s queued (%d configs, dataset=%q)", job.ID, len(req.entries), req.Dataset)
 	}
-	info := job.Info()
-	info.QueuePosition = s.queue.Position(job)
 	writeJSON(w, http.StatusAccepted, &info)
 }
 

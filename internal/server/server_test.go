@@ -158,6 +158,26 @@ func TestInlineGraphsWithTruth(t *testing.T) {
 	}
 }
 
+// TestInlineCacheIgnoresGeneratorKnobs: an inline pair ignores n and
+// data_seed, so the same pair and config posted with either is answered
+// from the cache entry the bare body filled.
+func TestInlineCacheIgnoresGeneratorKnobs(t *testing.T) {
+	ts := newTestServer(t, Options{Workers: 1})
+	pair := `"source":{"nodes":4,"edges":[[0,1],[1,2],[2,3]]},"target":{"nodes":4,"edges":[[0,1],[1,2],[2,3]]},
+		"config":{"variant":"HTC-L","epochs":2,"hidden":4,"embed":2,"m":3}`
+	code, info := submit(t, ts, "{"+pair+"}")
+	if code != http.StatusAccepted {
+		t.Fatalf("bare inline body: %d, want 202", code)
+	}
+	waitFor(t, ts, info.ID, StatusDone)
+	for _, knob := range []string{`"data_seed":5`, `"n":7`} {
+		code, info := submit(t, ts, "{"+pair+","+knob+"}")
+		if code != http.StatusOK || info.Result == nil || !info.Result.Cached {
+			t.Errorf("inline body with %s: %d %+v, want 200 from the cache", knob, code, info)
+		}
+	}
+}
+
 func TestCacheHitServesFromMemory(t *testing.T) {
 	ts := newTestServer(t, Options{Workers: 1})
 
