@@ -9,7 +9,7 @@ GO ?= go
 # package:Target pairs under internal/.
 FUZZTIME ?= 10s
 FUZZ_TARGETS = ingest:FuzzEdgeList ingest:FuzzAdjList ingest:FuzzJSON ingest:FuzzHTCGraph \
-	ingest:FuzzSniff ingest:FuzzTruth server:FuzzAlignAdmission
+	ingest:FuzzSniff ingest:FuzzTruth server:FuzzAlignAdmission server:FuzzDatasetPut
 
 .PHONY: build test test-ann test-refine test-kernels test-bench lint bench bench-pipeline bench-io bench-gate fuzz ci
 
@@ -26,7 +26,8 @@ test:
 # the blocked scan the `topk` backend runs, and that scan's bit-exact
 # tests live in this suite, so the target gates the `topk` backend too.
 # TestRerankBitIdenticalToReference holds the hashed path's four-row
-# re-rank to the one-term loop's bits on both precision tiers.
+# re-rank to the one-term loop's bits on both precision tiers, and
+# TestRehashPinnedBits pins the walk through re-hashed buckets.
 test-ann:
 	$(GO) test -race -count=1 ./internal/ann/...
 
@@ -99,8 +100,9 @@ bench-gate:
 	./scripts/bench_check.sh BENCH_io.json BENCH_io.ci.json 2.0 1.5
 
 # Short fuzz smoke over every registered format reader, the sniffer, the
-# truth parser and the server's align/sweep admission path (go test -fuzz
-# accepts one target in one package at a time).
+# truth parser, the server's align/sweep admission path and its dataset
+# upload endpoint (go test -fuzz accepts one target in one package at a
+# time).
 fuzz:
 	@for t in $(FUZZ_TARGETS); do \
 		pkg=$${t%%:*} name=$${t#*:}; \

@@ -28,8 +28,10 @@
 // -variant accepts a comma-separated list that replaces the config's
 // variant (setting both is an error): the pair is prepared once and
 // every variant aligns over the shared artifacts (staged API), printing
-// one section per variant. -progress streams per-stage progress (with
-// per-epoch ticks) to stderr.
+// one section per variant. The first variant that needs an orbit count
+// or Laplacian family builds it, and its "# timings:" line carries the
+// build. -progress streams per-stage progress (with per-epoch ticks) to
+// stderr.
 //
 // ANN runs print a "# ann:" line with the index's skew statistics —
 // bucket balance, re-hashed hot buckets and the mean/max re-rank pool.
@@ -49,7 +51,6 @@ import (
 	"runtime"
 	"runtime/pprof"
 	"strings"
-	"time"
 
 	htc "github.com/htc-align/htc"
 )
@@ -132,14 +133,11 @@ func main() {
 	if *progress {
 		base.Progress = progressLogger()
 	}
-	base.Variant = variants[0]
-	prep, err := htc.Prepare(gs, gt, base)
+	prep, err := htc.Prepare(gs, gt)
 	if err != nil {
 		log.Fatal(err)
 	}
-	pt := prep.PrepareTimings()
-	fmt.Printf("# prepared pair %.12s… (orbit=%v laplacian=%v, shared by %d variant(s))\n",
-		prep.Hash(), pt.OrbitCounting.Round(time.Millisecond), pt.Laplacians.Round(time.Millisecond), len(variants))
+	fmt.Printf("# prepared pair %.12s… (shared by %d variant(s))\n", prep.Hash(), len(variants))
 
 	var truth htc.Truth
 	if *truthPath != "" {

@@ -76,7 +76,7 @@ func htcAlign(t *testing.T, args ...string) (stdout, stderr string, code int) {
 func deterministic(out string) string {
 	var kept []string
 	for _, l := range strings.Split(out, "\n") {
-		if !strings.HasPrefix(l, "# prepared ") && !strings.HasPrefix(l, "# timings:") {
+		if !strings.HasPrefix(l, "# timings:") {
 			kept = append(kept, l)
 		}
 	}

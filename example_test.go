@@ -69,7 +69,7 @@ func ExamplePrepared() {
 		}
 	}
 
-	p, err := htc.Prepare(gs, gt, observed)
+	p, err := htc.Prepare(gs, gt)
 	if err != nil {
 		panic(err)
 	}

@@ -32,7 +32,7 @@ func main() {
 
 	for _, ratio := range []float64{0.1, 0.2, 0.3, 0.4, 0.5} {
 		target, truth := htc.MakeTarget(src, ratio, 32)
-		prep, err := htc.Prepare(src, target, base)
+		prep, err := htc.Prepare(src, target)
 		if err != nil {
 			log.Fatal(err)
 		}

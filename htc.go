@@ -331,9 +331,10 @@ func TruthFromPairs(pairs [][2]string, src, tgt *NodeMap) (Truth, error) {
 func Align(gs, gt *Graph, cfg Config) (*Result, error) { return core.Align(gs, gt, cfg) }
 
 // Prepared holds a graph pair's config-independent pipeline artifacts —
-// validated graphs, input features, edge-orbit counts and aggregation
-// Laplacians — so several configs can be aligned over one pair while the
-// expensive stages 1–2 run at most once. It is safe for concurrent use.
+// validated graphs, input features, and a memo of the edge-orbit counts
+// and aggregation Laplacians that the first Align needing them builds —
+// so several configs can be aligned over one pair while the expensive
+// stages 1–2 run at most once. It is safe for concurrent use.
 type Prepared = core.Prepared
 
 // PreparedStats reports how much artifact work a Prepared has absorbed.
@@ -357,11 +358,12 @@ const (
 	StageRefine      = core.StageRefine
 )
 
-// Prepare validates a graph pair and builds the stage-1/2 artifacts the
-// given config needs; further Prepared.Align calls — under this or any
-// other config — reuse them, so variant and hyperparameter sweeps skip
-// the dominant per-run cost entirely.
-func Prepare(gs, gt *Graph, cfg Config) (*Prepared, error) { return core.Prepare(gs, gt, cfg) }
+// Prepare validates a graph pair and derives its input features and
+// content hash; it builds nothing else. Stages 1–2 are built by the
+// first Prepared.Align that needs them (and timed into that run's
+// Timings), then memoised, so variant and hyperparameter sweeps pay the
+// dominant per-run cost once.
+func Prepare(gs, gt *Graph) (*Prepared, error) { return core.Prepare(gs, gt) }
 
 // PairHash returns the content hash identifying a graph pair: equal
 // hashes mean interchangeable prepared artifacts (the alignment server

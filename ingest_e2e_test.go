@@ -108,7 +108,7 @@ func TestRealDataThreeWayConsistency(t *testing.T) {
 
 	// Way 2: the staged path htc-align runs (Prepare once, Align per
 	// variant).
-	prep, err := htc.Prepare(pair.Source, pair.Target, cfg)
+	prep, err := htc.Prepare(pair.Source, pair.Target)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package align
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"github.com/htc-align/htc/internal/dense"
@@ -213,11 +214,11 @@ func IntegrateSims(sims []Sim, trusted []int) (Sim, []float64) {
 				acc[j] += g * scores[c]
 			}
 		}
-		score := make([]float64, len(members))
 		// Deterministic merge order: sort members ascending first so the
 		// final (score desc, column asc) order never depends on which
 		// orbit introduced a column.
-		sort.Slice(members, func(a, b int) bool { return members[a] < members[b] })
+		slices.Sort(members)
+		score := make([]float64, len(members))
 		for c, j := range members {
 			score[c] = acc[j]
 		}

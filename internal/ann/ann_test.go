@@ -476,6 +476,43 @@ func TestRefitPinnedBits32(t *testing.T) {
 	}
 }
 
+// TestRehashPinnedBits pins the hashed path through re-hashed buckets on
+// both tiers: collapse-skewed rows (skewPair) overfill first-level
+// buckets, so the index gives them second-level tables and the probe
+// walk descends into them. The digests were computed at commit 8e61431,
+// unbounded and with a pool cap of 64.
+func TestRehashPinnedBits(t *testing.T) {
+	const k, workers = 16, 2
+	data, queries := skewPair(5000, 400, 16, 4, 0.2, 51)
+	data32, queries32 := to32(data), to32(queries)
+	for _, tc := range []struct {
+		tier    string
+		poolCap int
+		want    string
+	}{
+		{"f64", 0, "9af7b43e005607168c0e61cfed5b932ccb2b17fb0bba17203d14e82306631db3"},
+		{"f32", 0, "f652d107ebcffaedc58ee8a91f856a1adf13115b52150e748ca7aa5a430ebd9c"},
+		{"f64", 64, "955c166a4eafe107aab0472e36cde1fa0730bd4015276948fa7251e037287237"},
+		{"f32", 64, "91d41f7957e3f1e1a11c438a9b3c5f3777b2d88ab740b7656d7ede898ec9ccce"},
+	} {
+		ix := New(Params{Bits: 11, Probes: 48, PoolCap: tc.poolCap, Seed: 19})
+		var res *Result
+		if tc.tier == "f64" {
+			ix.Fit(data, workers)
+			res = ix.TopK(queries, k, workers)
+		} else {
+			ix.Fit32(data32, workers)
+			res = ix.TopK32(queries32, k, workers)
+		}
+		if st := ix.Stats(); st.Rehashed == 0 {
+			t.Errorf("%s cap=%d: no bucket was re-hashed (stats %+v)", tc.tier, tc.poolCap, st)
+		}
+		if got := resultDigest(res); got != tc.want {
+			t.Errorf("%s cap=%d: digest %s, want %s", tc.tier, tc.poolCap, got, tc.want)
+		}
+	}
+}
+
 // TestRefitDriftKeepsRecall: the hash geometry stays frozen at the
 // first fit while the rows drift away from the data it was drawn for;
 // multi-probe must absorb that. All rows drift slightly, a quarter move

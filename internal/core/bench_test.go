@@ -108,7 +108,7 @@ func BenchmarkPrepareReuse(b *testing.B) {
 	b.Run("reuse", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			p, err := Prepare(gs, gt, cfgs[0])
+			p, err := Prepare(gs, gt)
 			if err != nil {
 				b.Fatal(err)
 			}

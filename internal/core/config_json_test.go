@@ -113,10 +113,14 @@ func TestConfigJSONDefaults(t *testing.T) {
 
 func TestAlignContextCancelled(t *testing.T) {
 	gs, gt, _ := noisyPair(40, 0.1, 3)
+	p, err := Prepare(gs, gt)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := AlignContext(ctx, gs, gt, quickConfig(Full)); !errors.Is(err, context.Canceled) {
+	if _, err := p.AlignContext(ctx, quickConfig(Full)); !errors.Is(err, context.Canceled) {
 		t.Fatalf("pre-cancelled context: got %v, want context.Canceled", err)
 	}
 
@@ -128,7 +132,7 @@ func TestAlignContextCancelled(t *testing.T) {
 	cfg := quickConfig(Full)
 	cfg.Epochs = 100000 // would run for minutes without cancellation
 	start := time.Now()
-	_, err := AlignContext(ctx, gs, gt, cfg)
+	_, err = p.AlignContext(ctx, cfg)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("mid-run cancel: got %v, want context.DeadlineExceeded", err)
 	}

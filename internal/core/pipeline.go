@@ -223,47 +223,38 @@ func (r *Result) MatchOneToOne() []int {
 // ErrAttrMismatch (alignment assumes a shared attribute space).
 //
 // Align is the one-shot convenience wrapper over the staged API: it is
-// exactly Prepare followed by Prepared.Align. Callers that run several
-// configs over the same pair should Prepare once and Align repeatedly —
-// the expensive stage-1/2 artifacts are then built once instead of per
-// run.
+// exactly Prepare followed by Prepared.Align, and its Timings.Total
+// covers both. Callers that run several configs over the same pair
+// should Prepare once and Align repeatedly — the expensive stage-1/2
+// artifacts are then built once instead of per run.
 func Align(gs, gt *graph.Graph, cfg Config) (*Result, error) {
-	return AlignContext(context.Background(), gs, gt, cfg)
-}
-
-// AlignContext is Align with cooperative cancellation: the context is
-// checked at every stage boundary, between training epochs and between
-// fine-tuning iterations. When ctx is cancelled mid-run, AlignContext
-// stops promptly and returns ctx's error, so a server can reclaim the
-// worker goroutine of an abandoned job instead of burning CPU to the end.
-func AlignContext(ctx context.Context, gs, gt *graph.Graph, cfg Config) (*Result, error) {
 	start := time.Now()
-	p, err := PrepareContext(ctx, gs, gt, cfg)
+	p, err := Prepare(gs, gt)
 	if err != nil {
 		return nil, err
 	}
-	res, err := p.AlignContext(ctx, cfg)
-	if err != nil {
-		return nil, err
+	res, err := p.Align(cfg)
+	if err == nil {
+		res.Timings.Total = time.Since(start)
 	}
-	// The eager artifact build happened inside Prepare; fold its cost back
-	// into this run's decomposition so one-shot timings read as before.
-	p.FoldPrepareTimings(&res.Timings)
-	res.Timings.Total = time.Since(start)
-	return res, nil
+	return res, err
 }
 
-// Align runs pipeline stages 3–5 (training, fine-tuning, integration)
-// over the prepared pair under the given config, reusing the memoised
-// stage-1/2 artifacts — any artifacts the config needs that were not
-// built yet are built now and memoised for the next call. The result is
-// bit-identical to the one-shot Align of the same graphs and config.
+// Align runs the pipeline over the prepared pair under the given config.
+// It reuses the memoised stage-1/2 artifacts; any the config needs that
+// were not built yet are built now, timed into this run's Timings, and
+// memoised for the next call. The result is bit-identical to the
+// one-shot Align of the same graphs and config.
 func (p *Prepared) Align(cfg Config) (*Result, error) {
 	return p.AlignContext(context.Background(), cfg)
 }
 
-// AlignContext is Prepared.Align with cooperative cancellation, with the
-// same promptness contract as the package-level AlignContext.
+// AlignContext is Prepared.Align with cooperative cancellation: the
+// context is checked at every stage boundary, between training epochs
+// and between fine-tuning iterations. When ctx is cancelled mid-run,
+// AlignContext stops promptly and returns ctx's error, so a server can
+// reclaim the worker goroutine of an abandoned job instead of burning
+// CPU to the end.
 func (p *Prepared) AlignContext(ctx context.Context, cfg Config) (*Result, error) {
 	if err := cfg.ValidateSimilarity(p.gs.N(), p.gt.N()); err != nil {
 		return nil, err

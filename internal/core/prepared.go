@@ -90,11 +90,13 @@ const maxMemoisedSets = 16
 // the training/fine-tuning hyperparameters: the validated graphs, their
 // input feature matrices, a content hash identifying the pair, and a memo
 // of the expensive stage-1/2 artifacts (edge-orbit counts and the
-// per-family aggregation Laplacians). Preparing once and calling Align
-// repeatedly lets variant and hyperparameter sweeps skip the dominant
-// per-run cost (paper Fig. 8) entirely: the 13-orbit counts are computed
-// at most once per pair, and each distinct aggregation family (K, binary,
-// diffusion order/α) builds its Laplacians at most once.
+// per-family aggregation Laplacians). The memo starts empty: the first
+// Align that needs an artifact builds it, times it into its own
+// Result.Timings, and every later Align reuses it. So variant and
+// hyperparameter sweeps pay the dominant per-run cost (paper Fig. 8)
+// once: the 13-orbit counts are computed at most once per pair, and each
+// distinct aggregation family (K, binary, diffusion order/α) builds its
+// Laplacians at most once.
 //
 // A Prepared is safe for concurrent use: multiple goroutines may Align
 // against it at the same time (the server's sweep endpoint and artifact
@@ -105,11 +107,6 @@ type Prepared struct {
 	gs, gt *graph.Graph
 	xs, xt *dense.Matrix
 	hash   string
-
-	// prep records the artifact build time spent inside Prepare itself,
-	// so the one-shot Align wrapper can attribute it to the run's stage
-	// timings (sweeps deliberately do not re-report it).
-	prep StageTimings
 
 	// mu guards the memo maps only — never a build: builders claim an
 	// in-flight entry under mu, build outside it, and publish by closing
@@ -140,41 +137,20 @@ type PreparedStats struct {
 	Sets int
 }
 
-// Prepare validates a graph pair and builds the config-independent
-// pipeline artifacts stages 3–5 will consume: input features, the
-// pair's content hash, and — eagerly — the stage-1/2 artifacts the given
-// config needs. Align calls with other configs lazily build (and memoise)
-// whatever additional artifacts they require, so any Config is compatible
-// with any Prepared of the same pair.
-func Prepare(gs, gt *graph.Graph, cfg Config) (*Prepared, error) {
-	return PrepareContext(context.Background(), gs, gt, cfg)
-}
-
-// PrepareContext is Prepare with cooperative cancellation, checked at the
-// stage boundaries of the eager artifact build.
-func PrepareContext(ctx context.Context, gs, gt *graph.Graph, cfg Config) (*Prepared, error) {
-	cfg = cfg.withDefaults()
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
+// Prepare validates a graph pair and derives what every config shares:
+// the input features and the pair's content hash. It builds no stage-1/2
+// artifact; the first Align that needs one builds it, so any Config is
+// compatible with any Prepared of the same pair.
+func Prepare(gs, gt *graph.Graph) (*Prepared, error) {
 	xs, xt, err := featurePair(gs, gt)
 	if err != nil {
 		return nil, err
 	}
-	p := &Prepared{
+	return &Prepared{
 		gs: gs, gt: gt, xs: xs, xt: xt,
 		hash: PairHash(gs, gt),
 		sets: make(map[aggKey]*setEntry),
-	}
-	// Eagerly build what cfg needs, so a caller that Prepares during an
-	// idle moment pays the dominant cost there rather than inside its
-	// first Align.
-	var timings StageTimings
-	if _, err := p.resolveSets(ctx, cfg, par.Resolve(cfg.Workers), &timings, newEmitter(cfg.Progress)); err != nil {
-		return nil, err
-	}
-	p.prep = timings
-	return p, nil
+	}, nil
 }
 
 // Source and Target return the prepared pair's graphs.
@@ -191,23 +167,6 @@ func (p *Prepared) Stats() PreparedStats {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return PreparedStats{OrbitCountRuns: p.countRuns, SetBuilds: p.setBuilds, Sets: len(p.sets)}
-}
-
-// PrepareTimings reports the stage-1/2 build time spent eagerly inside
-// Prepare (zero when Prepare found nothing to build, e.g. for a
-// low-order config).
-func (p *Prepared) PrepareTimings() StageTimings { return p.prep }
-
-// FoldPrepareTimings charges the eager build of PrepareTimings to a run's
-// decomposition t: its stage times, stage bytes and TotalBytes. Total is
-// left alone — it is the wall clock of whatever call t describes, which
-// may or may not have covered Prepare.
-func (p *Prepared) FoldPrepareTimings(t *StageTimings) {
-	t.OrbitCounting += p.prep.OrbitCounting
-	t.Laplacians += p.prep.Laplacians
-	t.OrbitCountingBytes += p.prep.OrbitCountingBytes
-	t.LaplaciansBytes += p.prep.LaplaciansBytes
-	t.TotalBytes += p.prep.OrbitCountingBytes + p.prep.LaplaciansBytes
 }
 
 // resolveSets returns the stage-2 artifact sets for cfg, building and

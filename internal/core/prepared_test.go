@@ -29,7 +29,7 @@ func sweepVariants() []Config {
 // loss history.
 func TestPreparedAlignEquivalence(t *testing.T) {
 	gs, gt, _ := noisyPair(40, 0.1, 5)
-	p, err := Prepare(gs, gt, quickConfig(Full))
+	p, err := Prepare(gs, gt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,12 +65,12 @@ func TestPreparedAlignEquivalence(t *testing.T) {
 // pass and one artifact build per distinct aggregation family.
 func TestPreparedArtifactReuse(t *testing.T) {
 	gs, gt, _ := noisyPair(40, 0.1, 6)
-	p, err := Prepare(gs, gt, quickConfig(Full))
+	p, err := Prepare(gs, gt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s := p.Stats(); s.OrbitCountRuns != 1 || s.SetBuilds != 1 {
-		t.Fatalf("after Prepare(Full): %+v, want 1 count run and 1 set build", s)
+	if s := p.Stats(); s.OrbitCountRuns != 0 || s.SetBuilds != 0 {
+		t.Fatalf("after Prepare: %+v, want no count run and no set build", s)
 	}
 	for _, cfg := range sweepVariants() {
 		if _, err := p.Align(cfg); err != nil {
@@ -103,7 +103,7 @@ func TestPreparedArtifactReuse(t *testing.T) {
 // result to match its serial counterpart. Run under -race in CI.
 func TestPreparedConcurrentAligns(t *testing.T) {
 	gs, gt, _ := noisyPair(40, 0.1, 7)
-	p, err := Prepare(gs, gt, quickConfig(LowOrder)) // eager build of the *wrong* family: everything else is lazy
+	p, err := Prepare(gs, gt) // nothing built yet: the concurrent first users race for every family
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +150,7 @@ func TestPreparedSetEviction(t *testing.T) {
 	gs, gt, _ := noisyPair(30, 0.1, 11)
 	cfg := quickConfig(DiffusionFT)
 	cfg.Epochs = 2
-	p, err := Prepare(gs, gt, cfg)
+	p, err := Prepare(gs, gt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +218,7 @@ func TestPairHash(t *testing.T) {
 		t.Error("attribute changes should change the hash")
 	}
 
-	p, err := Prepare(gs, gt, Config{})
+	p, err := Prepare(gs, gt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,7 +277,7 @@ func TestProgressObserver(t *testing.T) {
 	}
 
 	// Warm re-run on a Prepared: no build-stage events.
-	p, err := Prepare(gs, gt, quickConfig(Full))
+	p, err := Prepare(gs, gt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,7 +301,7 @@ func TestProgressObserver(t *testing.T) {
 // on the staged path.
 func TestPreparedAlignCancelled(t *testing.T) {
 	gs, gt, _ := noisyPair(40, 0.1, 3)
-	p, err := Prepare(gs, gt, quickConfig(Full))
+	p, err := Prepare(gs, gt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -309,8 +309,5 @@ func TestPreparedAlignCancelled(t *testing.T) {
 	cancel()
 	if _, err := p.AlignContext(ctx, quickConfig(Full)); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled staged align: got %v, want context.Canceled", err)
-	}
-	if _, err := PrepareContext(ctx, gs, gt, quickConfig(Full)); !errors.Is(err, context.Canceled) {
-		t.Fatalf("cancelled prepare: got %v, want context.Canceled", err)
 	}
 }

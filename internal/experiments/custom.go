@@ -18,7 +18,7 @@ import (
 // truth and omitted otherwise.
 func Custom(pair *datasets.Pair, o Options) ([]Cell, string, error) {
 	o = o.withDefaults()
-	prep, err := core.Prepare(pair.Source, pair.Target, o.htcConfig())
+	prep, err := core.Prepare(pair.Source, pair.Target)
 	if err != nil {
 		return nil, "", fmt.Errorf("preparing %s: %w", pair.Name, err)
 	}

@@ -42,7 +42,7 @@ func Fig11(o Options) ([]TSNEResult, string, error) {
 	// (HighOrder) passes use the same orbit counts and Laplacians.
 	afterCfg := o.htcConfig()
 	afterCfg.KeepEmbeddings = true
-	prep, err := core.Prepare(pair.Source, pair.Target, afterCfg)
+	prep, err := core.Prepare(pair.Source, pair.Target)
 	if err != nil {
 		return nil, "", fmt.Errorf("fig11 prepare: %w", err)
 	}

@@ -202,7 +202,7 @@ func Fig10(o Options) ([]HyperPoint, string, error) {
 	var points []HyperPoint
 	preps := make(map[*datasets.Pair]*core.Prepared, len(pairs))
 	for _, pair := range pairs {
-		prep, err := core.Prepare(pair.Source, pair.Target, o.htcConfig())
+		prep, err := core.Prepare(pair.Source, pair.Target)
 		if err != nil {
 			return nil, "", fmt.Errorf("preparing %s: %w", pair.Name, err)
 		}

@@ -120,7 +120,7 @@ func Table3(o Options) ([]AblationCell, string, error) {
 	}
 	var cells []AblationCell
 	for _, pair := range pairs {
-		prep, err := core.Prepare(pair.Source, pair.Target, o.htcConfig())
+		prep, err := core.Prepare(pair.Source, pair.Target)
 		if err != nil {
 			return nil, "", fmt.Errorf("preparing %s: %w", pair.Name, err)
 		}

@@ -5,8 +5,10 @@
 package graph
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"github.com/htc-align/htc/internal/dense"
@@ -136,20 +138,23 @@ func (b *Builder) Build() *Graph {
 	}
 	g.edges = make([][2]int32, len(b.edges))
 	copy(g.edges, b.edges)
-	sort.Slice(g.edges, func(i, j int) bool {
-		if g.edges[i][0] != g.edges[j][0] {
-			return g.edges[i][0] < g.edges[j][0]
-		}
-		return g.edges[i][1] < g.edges[j][1]
-	})
+	slices.SortFunc(g.edges, compareEdges)
 	for _, e := range g.edges {
 		g.adj[e[0]] = append(g.adj[e[0]], e[1])
 		g.adj[e[1]] = append(g.adj[e[1]], e[0])
 	}
 	for i := range g.adj {
-		sort.Slice(g.adj[i], func(a, b int) bool { return g.adj[i][a] < g.adj[i][b] })
+		slices.Sort(g.adj[i])
 	}
 	return g
+}
+
+// compareEdges orders edges lexicographically.
+func compareEdges(a, b [2]int32) int {
+	if c := cmp.Compare(a[0], b[0]); c != 0 {
+		return c
+	}
+	return cmp.Compare(a[1], b[1])
 }
 
 // N returns the number of nodes.

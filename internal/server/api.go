@@ -436,9 +436,11 @@ type AlignResult struct {
 	// Cached reports that the result was served from the content-hash
 	// cache rather than recomputed.
 	Cached bool `json:"cached"`
-	// PreparedCached reports that the run reused another job's prepared
-	// artifacts (orbit counts, Laplacians) via the server's artifact
-	// cache instead of building them itself.
+	// PreparedCached reports a prepared-pair cache hit: the run took its
+	// pair's prepared artifacts from the server's artifact cache, or from
+	// an earlier entry of its sweep, instead of preparing the pair. An
+	// orbit-count or Laplacian family that no earlier run built is still
+	// built by this run, and its timings carry it.
 	PreparedCached bool `json:"prepared_cached,omitempty"`
 }
 
@@ -460,8 +462,9 @@ type SweepResult struct {
 	// when the whole sweep was assembled from the result cache without
 	// ever materialising the graphs.
 	PairHash string `json:"pair_hash,omitempty"`
-	// PreparedCached reports that the sweep reused an earlier job's
-	// prepared artifacts rather than building its own.
+	// PreparedCached reports a prepared-pair cache hit: the sweep took
+	// an earlier job's prepared pair from the artifact cache rather than
+	// preparing its own.
 	PreparedCached bool `json:"prepared_cached"`
 	// Results holds one entry per requested config, in request order.
 	Results []SweepEntry `json:"results"`

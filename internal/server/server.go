@@ -175,8 +175,8 @@ func (s *Server) jobConfig(job *Job, cfg core.Config, cfgIdx, cfgTotal int) core
 // runJob is the queue's Runner, one loop for align and sweep jobs alike:
 // materialise the pair, probe every entry's key (an entry a twin job
 // cached since admission is served from the result cache), prepare the
-// pair once from the first entry that runs, align the rest over the same
-// prepared artifacts, evaluate, cache each result under its entry's key.
+// pair once, align every entry that runs over the same prepared
+// artifacts, evaluate, cache each result under its entry's key.
 // An align job's error fails the job; a sweep keeps each entry's error in
 // its entry, and only cancellation aborts it.
 func (s *Server) runJob(ctx context.Context, job *Job) (any, error) {
@@ -197,22 +197,25 @@ func (s *Server) runJob(ctx context.Context, job *Job) (any, error) {
 	sweep, pending := s.probe(req)
 	s.metrics.CacheHits.Add(int64(len(req.entries) - len(pending)))
 	s.metrics.CacheMisses.Add(int64(len(pending)))
+	sweep.PairHash = core.PairHash(pair.Source, pair.Target)
 	if len(pending) == 0 {
-		sweep.PairHash = core.PairHash(pair.Source, pair.Target)
 		return req.payload(sweep), nil
 	}
 
-	// A job never pays an artifact build on behalf of entries it won't
-	// run: the first entry that runs seeds the prepared pair.
-	prep, prepHit, err := s.preparedFor(ctx, pair, s.jobConfig(job, req.entries[pending[0]], min(pending[0]+1, n), n))
-	if err != nil {
-		return nil, err
+	// Preparing builds nothing: each stage-1/2 artifact is built by the
+	// first entry that needs it and timed into that entry's result, so a
+	// job on a pair whose first job still builds waits on that build.
+	prep, prepHit := s.prepared.get(sweep.PairHash)
+	if prepHit {
+		s.metrics.PreparedHits.Add(1)
+	} else {
+		s.metrics.PreparedMisses.Add(1)
+		if prep, err = core.Prepare(pair.Source, pair.Target); err != nil {
+			return nil, err
+		}
+		s.prepared.put(sweep.PairHash, prep)
 	}
-	sweep.PairHash, sweep.PreparedCached = prep.Hash(), prepHit
-	// Prepare's eager artifact build is paid once for the whole job; it is
-	// charged to the first entry that runs, so the per-entry stage
-	// decompositions sum to the job's true cost.
-	fold := !prepHit
+	sweep.PreparedCached = prepHit
 	for _, i := range pending {
 		res, err := prep.AlignContext(ctx, s.jobConfig(job, req.entries[i], min(i+1, n), n))
 		if err != nil {
@@ -223,10 +226,6 @@ func (s *Server) runJob(ctx context.Context, job *Job) (any, error) {
 			continue
 		}
 		s.metrics.recordBackend(res)
-		if fold {
-			prep.FoldPrepareTimings(&res.Timings)
-			fold = false
-		}
 		out := buildResult(res, pair, req.cutoffs())
 		out.PreparedCached = prepHit || i != pending[0]
 		s.results.put(req.keys[i], *out)
@@ -277,24 +276,6 @@ func (s *Server) cachedResult(key string) *AlignResult {
 	}
 	res.Cached = true
 	return &res
-}
-
-// preparedFor returns the pair's prepared artifacts, reusing the
-// cross-job artifact cache when the same graphs (by content hash) were
-// prepared before, and preparing + caching them otherwise.
-func (s *Server) preparedFor(ctx context.Context, pair *datasets.Pair, cfg core.Config) (*core.Prepared, bool, error) {
-	key := core.PairHash(pair.Source, pair.Target)
-	if prep, ok := s.prepared.get(key); ok {
-		s.metrics.PreparedHits.Add(1)
-		return prep, true, nil
-	}
-	s.metrics.PreparedMisses.Add(1)
-	prep, err := core.PrepareContext(ctx, pair.Source, pair.Target, cfg)
-	if err != nil {
-		return nil, false, err
-	}
-	s.prepared.put(key, prep)
-	return prep, false, nil
 }
 
 // buildResult converts a pipeline result into the API payload: one-to-one

@@ -127,6 +127,45 @@ func TestSweepEndToEnd(t *testing.T) {
 	}
 }
 
+// TestEntryTimingsAddUp holds every entry's timings to one clock: an
+// align job and a three-config sweep, each on a pair no job prepared
+// before, so their first entries build the orbit counts and Laplacians.
+// Each entry's total must cover the sum of its six stage times.
+func TestEntryTimingsAddUp(t *testing.T) {
+	ts := newTestServer(t, Options{Workers: 1})
+	cfg := `{"variant":"HTC","k":13,"epochs":3,"hidden":8,"embed":4,"m":5}`
+	bodies := map[string]string{
+		"/v1/align": `{"dataset":"synthetic","n":300,"data_seed":3,"config":` + cfg + `}`,
+		"/v1/sweep": `{"dataset":"synthetic","n":300,"data_seed":4,"configs":[` + cfg + `,
+			{"variant":"HTC-H","k":13,"epochs":3,"hidden":8,"embed":4,"m":5},
+			{"variant":"HTC-L","epochs":3,"hidden":8,"embed":4,"m":5}]}`,
+	}
+	for path, body := range bodies {
+		code, info := postJSON(t, ts, path, body)
+		if code != http.StatusAccepted {
+			t.Fatalf("%s: %d, want 202", path, code)
+		}
+		done := waitFor(t, ts, info.ID, StatusDone)
+		results := []*AlignResult{done.Result}
+		if done.Sweep != nil {
+			results = results[:0]
+			for _, e := range done.Sweep.Results {
+				results = append(results, e.Result)
+			}
+		}
+		for i, res := range results {
+			if res == nil || res.PreparedCached != (i > 0) {
+				t.Fatalf("%s entry %d: %+v, want a fresh run (prepared_cached on later entries only)", path, i, res)
+			}
+			ms := res.TimingsMS
+			stages := ms.OrbitCounting + ms.Laplacians + ms.Training + ms.FineTuning + ms.Integration + ms.Refinement
+			if ms.Total < stages-1e-9 {
+				t.Errorf("%s entry %d: total %.3f ms is below its stages' sum %.3f ms (%+v)", path, i, ms.Total, stages, ms)
+			}
+		}
+	}
+}
+
 func TestSweepValidation(t *testing.T) {
 	ts := newTestServer(t, Options{Workers: 1})
 	cases := []struct {

@@ -6,8 +6,10 @@
 package sparse
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"github.com/htc-align/htc/internal/dense"
@@ -38,14 +40,8 @@ func FromEntries(rows, cols int, entries []Entry) *CSR {
 	if rows < 0 || cols < 0 {
 		panic(fmt.Sprintf("sparse: negative dimension %dx%d", rows, cols))
 	}
-	es := make([]Entry, len(entries))
-	copy(es, entries)
-	sort.Slice(es, func(i, j int) bool {
-		if es[i].Row != es[j].Row {
-			return es[i].Row < es[j].Row
-		}
-		return es[i].Col < es[j].Col
-	})
+	es := slices.Clone(entries)
+	slices.SortFunc(es, compareEntries)
 	c := &CSR{Rows: rows, Cols: cols, RowPtr: make([]int32, rows+1)}
 	for i := 0; i < len(es); {
 		e := es[i]
@@ -69,6 +65,14 @@ func FromEntries(rows, cols int, entries []Entry) *CSR {
 		c.RowPtr[i+1] += c.RowPtr[i]
 	}
 	return c
+}
+
+// compareEntries orders entries by row, then by column.
+func compareEntries(a, b Entry) int {
+	if c := cmp.Compare(a.Row, b.Row); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.Col, b.Col)
 }
 
 // Identity returns the n×n identity matrix in CSR form.
