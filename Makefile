@@ -35,6 +35,8 @@ test-ann:
 # goroutines and must stay worker-count independent; run its suite
 # explicitly under the race detector, uncached, so refinement changes
 # get the same targeted gate the ANN index has.
+# TestRowSumBitIdenticalToSort holds the dense path's radix-ordered row
+# sum to the bits of a comparison sort.
 test-refine:
 	$(GO) test -race -count=1 ./internal/refine/...
 

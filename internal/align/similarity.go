@@ -13,10 +13,10 @@ package align
 
 import (
 	"fmt"
-	"sort"
 
 	"github.com/htc-align/htc/internal/dense"
 	"github.com/htc-align/htc/internal/par"
+	"github.com/htc-align/htc/internal/topk"
 )
 
 // simScratch holds the similarity working set of one fine-tuning loop: the
@@ -59,68 +59,33 @@ func (s *simScratch) corrInto(hs, ht *dense.Matrix, workers int) *dense.Matrix {
 
 // topMean returns the mean of the m largest values in xs. When xs has
 // fewer than m entries the mean of all of them is returned; m ≤ 0 yields
-// 0. The selected values are summed in descending order: float addition
-// is order-sensitive, and the top-k backend's candidate scores arrive
-// pre-sorted, so a shared summation order is what makes the two backends
+// 0. The m best are kept by topk.Select, the aligner's one top-k heap, and
+// summed in its best-first output order: float addition is
+// order-sensitive, and the top-k backend's candidate scores arrive in that
+// order, so a shared summation order is what makes the two backends
 // bit-identical (equal values commute, so ties cannot perturb the sum).
-func topMean(xs []float64, m int, buf []float64) float64 {
+func topMean(xs []float64, m int, ts *topScratch) float64 {
 	if m <= 0 || len(xs) == 0 {
 		return 0
 	}
-	buf = append(buf[:0], xs...)
-	if m >= len(xs) {
-		m = len(xs)
-	} else {
-		quickSelectDesc(buf, m)
+	m = min(m, len(xs))
+	if len(ts.idx) != m {
+		ts.idx, ts.score = make([]int32, m), make([]float64, m)
 	}
-	sort.Float64s(buf[:m])
+	topk.Select(&ts.sel, ts.idx, ts.score, nil, xs)
 	var s float64
-	for i := m - 1; i >= 0; i-- {
-		s += buf[i]
+	for _, v := range ts.score {
+		s += v
 	}
 	return s / float64(m)
 }
 
-// quickSelectDesc partially sorts xs so that its first m entries are the m
-// largest (in arbitrary order).
-func quickSelectDesc(xs []float64, m int) {
-	lo, hi := 0, len(xs)-1
-	for lo < hi {
-		p := partitionDesc(xs, lo, hi)
-		switch {
-		case p == m-1:
-			return
-		case p < m-1:
-			lo = p + 1
-		default:
-			hi = p - 1
-		}
-	}
-}
-
-func partitionDesc(xs []float64, lo, hi int) int {
-	mid := lo + (hi-lo)/2
-	// Median-of-three pivot defends against adversarial (sorted) input.
-	if xs[mid] > xs[lo] {
-		xs[mid], xs[lo] = xs[lo], xs[mid]
-	}
-	if xs[hi] > xs[lo] {
-		xs[hi], xs[lo] = xs[lo], xs[hi]
-	}
-	if xs[hi] > xs[mid] {
-		xs[hi], xs[mid] = xs[mid], xs[hi]
-	}
-	pivot := xs[mid]
-	xs[mid], xs[hi] = xs[hi], xs[mid]
-	store := lo
-	for i := lo; i < hi; i++ {
-		if xs[i] > pivot {
-			xs[i], xs[store] = xs[store], xs[i]
-			store++
-		}
-	}
-	xs[store], xs[hi] = xs[hi], xs[store]
-	return store
+// topScratch is one worker's topMean working set: the selector's heap
+// and its output buffers.
+type topScratch struct {
+	sel   topk.Selector
+	idx   []int32
+	score []float64
 }
 
 // hubness fills the scratch's dt/ds vectors with the hubness degrees of
@@ -136,16 +101,16 @@ func (s *simScratch) hubness(corr *dense.Matrix, m, workers int) (dt, ds []float
 	dense.TransposeInto(s.corrT, corr)
 	dt, ds = s.dt, s.ds
 	par.For(workers, corr.Rows, corr.Cols, func(start, end int) {
-		buf := make([]float64, corr.Cols)
+		var ts topScratch
 		for i := start; i < end; i++ {
-			dt[i] = topMean(corr.Row(i), m, buf)
+			dt[i] = topMean(corr.Row(i), m, &ts)
 		}
 	})
 	corrT := s.corrT
 	par.For(workers, corrT.Rows, corrT.Cols, func(start, end int) {
-		buf := make([]float64, corrT.Cols)
+		var ts topScratch
 		for j := start; j < end; j++ {
-			ds[j] = topMean(corrT.Row(j), m, buf)
+			ds[j] = topMean(corrT.Row(j), m, &ts)
 		}
 	})
 	return dt, ds

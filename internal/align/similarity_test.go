@@ -76,15 +76,15 @@ func TestCorrMismatchedDimsPanics(t *testing.T) {
 }
 
 func TestTopMean(t *testing.T) {
-	buf := make([]float64, 8)
+	var ts topScratch
 	xs := []float64{5, 1, 4, 2, 3}
-	if got := topMean(xs, 2, buf); got != 4.5 {
+	if got := topMean(xs, 2, &ts); got != 4.5 {
 		t.Fatalf("topMean m=2 = %v, want 4.5", got)
 	}
-	if got := topMean(xs, 10, buf); got != 3 {
+	if got := topMean(xs, 10, &ts); got != 3 {
 		t.Fatalf("topMean m>len = %v, want 3", got)
 	}
-	if got := topMean(xs, 0, buf); got != 0 {
+	if got := topMean(xs, 0, &ts); got != 0 {
 		t.Fatalf("topMean m=0 = %v", got)
 	}
 	// Input must not be reordered.
@@ -93,26 +93,44 @@ func TestTopMean(t *testing.T) {
 	}
 }
 
+// TestTopMeanMatchesSort holds topMean to the bits of a sort-based
+// reference: sort descending, then sum the first m in that order. One
+// scratch serves every call, as a worker's does, across lengths and m
+// that change between calls: m = 1, m = len(xs), m > len(xs) and a
+// random m, on normal draws and on draws from a few tied levels
+// (including ±0 and negatives).
 func TestTopMeanMatchesSort(t *testing.T) {
+	var ts topScratch
+	levels := []float64{-2, -0.5, math.Copysign(0, -1), 0, 0.25, 0.75}
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := 1 + rng.Intn(40)
 		xs := make([]float64, n)
 		for i := range xs {
-			xs[i] = rng.NormFloat64()
+			if seed%2 == 0 {
+				xs[i] = rng.NormFloat64()
+			} else {
+				xs[i] = levels[rng.Intn(len(levels))]
+			}
 		}
-		m := 1 + rng.Intn(n)
-		got := topMean(xs, m, make([]float64, n))
 		sorted := append([]float64(nil), xs...)
 		sort.Sort(sort.Reverse(sort.Float64Slice(sorted)))
-		var want float64
-		for _, v := range sorted[:m] {
-			want += v
+		for _, m := range []int{1, n, n + 3, 1 + rng.Intn(n)} {
+			k := min(m, n)
+			var want float64
+			for _, v := range sorted[:k] {
+				want += v
+			}
+			want /= float64(k)
+			if got := topMean(xs, m, &ts); math.Float64bits(got) != math.Float64bits(want) {
+				t.Logf("seed %d n=%d m=%d: topMean %v (%#x), sorted sum %v (%#x)",
+					seed, n, m, got, math.Float64bits(got), want, math.Float64bits(want))
+				return false
+			}
 		}
-		want /= float64(m)
-		return math.Abs(got-want) < 1e-9
+		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"github.com/htc-align/htc/internal/align"
+	"github.com/htc-align/htc/internal/datasets"
 	"github.com/htc-align/htc/internal/metrics"
 )
 
@@ -76,6 +77,48 @@ func TestAlignTopKEquivalence(t *testing.T) {
 	tRep := metrics.EvaluateSim(topkRes.Sim, truth, 1, 5, 10)
 	if dRep.MRR != tRep.MRR || dRep.PrecisionAt[1] != tRep.PrecisionAt[1] || dRep.PrecisionAt[10] != tRep.PrecisionAt[10] {
 		t.Fatalf("evaluation: dense %v vs topk %v", dRep, tRep)
+	}
+}
+
+// TestRefinedTopKRowsBestFirst extends the k = n equivalence through
+// RefiNA refinement on an Econ pair: the refined candidate rows must
+// hold the dense scores bit for bit and keep the best-first order that
+// TopKSim's Scan promises and Predict reads its heads from. Column
+// normalisation reorders a row, so without re-sorting every cell still
+// matches while Scan visits rows out of order and Predict disagrees with
+// dense.
+func TestRefinedTopKRowsBestFirst(t *testing.T) {
+	n := 120
+	gs := datasets.Econ(n, 1)
+	gt, _ := datasets.MakeTarget(gs, 0.1, 1)
+	cfg := Config{Variant: LowOrderFT, Hidden: 32, Embed: 16, Epochs: 10, MaxFineTuneIters: 5, RefineIters: 3, Seed: 1}
+	denseRes, err := Align(gs, gt, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Similarity, cfg.CandidateK = SimTopK, n
+	topkRes, err := Align(gs, gt, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dm := denseRes.Sim.Dense()
+	for i := 0; i < n; i++ {
+		prev, prevScore := -1, 0.0
+		topkRes.Sim.Scan(i, func(j int, v float64) {
+			if v != dm.At(i, j) {
+				t.Fatalf("score (%d,%d): dense %v, topk %v", i, j, dm.At(i, j), v)
+			}
+			if prev >= 0 && (v > prevScore || v == prevScore && j < prev) {
+				t.Fatalf("row %d: Scan visits (%d, %v) after (%d, %v)", i, j, v, prev, prevScore)
+			}
+			prev, prevScore = j, v
+		})
+	}
+	dp, tp := denseRes.Predict(), topkRes.Predict()
+	for i := range dp {
+		if dp[i] != tp[i] {
+			t.Fatalf("predict[%d]: dense %d, topk %d", i, dp[i], tp[i])
+		}
 	}
 }
 

@@ -2,7 +2,6 @@ package refine
 
 import (
 	"math"
-	"slices"
 
 	"github.com/htc-align/htc/internal/align"
 	"github.com/htc-align/htc/internal/dense"
@@ -27,10 +26,10 @@ type denseState struct {
 
 // denseScratch is one worker's row buffers.
 type denseScratch struct {
-	vals  []float64   // a copy of the row, sorted for its L1 sum
-	tok   tokenPicker // token choice
-	token []int       // stamp marking the row's token columns
-	gen   int
+	keys, tmp []uint64    // the row's order keys, radix-sorted for its L1 sum
+	tok       tokenPicker // token choice
+	token     []int       // stamp marking the row's token columns
+	gen       int
 }
 
 func (d *denseState) softAssignRows() {
@@ -88,7 +87,7 @@ func (d *denseState) step(gs, gt *graph.Graph, eps float64, tokenK, workers int)
 	par.Sharded(workers, rows, func(w, i int) {
 		sc := d.scratch[w]
 		if sc == nil {
-			sc = &denseScratch{vals: make([]float64, cols), token: make([]int, cols)}
+			sc = &denseScratch{keys: make([]uint64, cols), tmp: make([]uint64, cols), token: make([]int, cols)}
 			d.scratch[w] = sc
 		}
 		mi, ui := d.m.Row(i), d.u.Row(i)
@@ -121,12 +120,7 @@ func (d *denseState) step(gs, gt *graph.Graph, eps float64, tokenK, workers int)
 			ui[j] = v
 		}
 
-		copy(sc.vals, ui)
-		slices.Sort(sc.vals)
-		var sum float64
-		for k := cols - 1; k >= 0; k-- {
-			sum += sc.vals[k]
-		}
+		sum := sc.sumDesc(ui)
 		if sum <= 0 {
 			copy(ui, mi)
 			return
@@ -139,6 +133,66 @@ func (d *denseState) step(gs, gt *graph.Graph, eps float64, tokenK, workers int)
 
 	d.normalizeColumns(workers)
 	d.m, d.u = d.u, d.m
+}
+
+// sumDesc returns the sum of row's values added largest first, the
+// order in which the candidate path sums its best-first rows. It orders
+// the values by radix-sorting their order keys: a float's bits with the
+// sign flipped (all bits of a negative), so that unsigned order is
+// numeric order. Equal values commute, and so do ±0, which the keys
+// tell apart (a sum that reaches the zeros is +0 or positive), so the
+// sum has the bits of any sorted order.
+func (sc *denseScratch) sumDesc(row []float64) float64 {
+	keys := sc.keys[:len(row)]
+	for j, v := range row {
+		b := math.Float64bits(v)
+		keys[j] = b ^ (uint64(int64(b)>>63) | 1<<63)
+	}
+	keys = radixSort(keys, sc.tmp[:len(row)])
+	var sum float64
+	for k := len(keys) - 1; k >= 0; k-- {
+		b := keys[k]
+		sum += math.Float64frombits(b ^ (b>>63 - 1 | 1<<63))
+	}
+	return sum
+}
+
+// radixSort sorts keys ascending by LSD passes over their 8-bit digits,
+// skipping a pass when every key shares that digit, and returns the
+// sorted slice: keys or tmp, whichever the last pass wrote. The digit
+// counts are uint32, which a dense row's width never reaches.
+func radixSort(keys, tmp []uint64) []uint64 {
+	if len(keys) < 2 {
+		return keys
+	}
+	var count [8][256]uint32
+	for _, k := range keys {
+		count[0][byte(k)]++
+		count[1][byte(k>>8)]++
+		count[2][byte(k>>16)]++
+		count[3][byte(k>>24)]++
+		count[4][byte(k>>32)]++
+		count[5][byte(k>>40)]++
+		count[6][byte(k>>48)]++
+		count[7][byte(k>>56)]++
+	}
+	for d := range count {
+		c, shift := &count[d], 8*d
+		if int(c[byte(keys[0]>>shift)]) == len(keys) {
+			continue
+		}
+		var sum uint32
+		for b, n := range c {
+			c[b], sum = sum, sum+n
+		}
+		for _, k := range keys {
+			b := byte(k >> shift)
+			tmp[c[b]] = k
+			c[b]++
+		}
+		keys, tmp = tmp, keys
+	}
+	return keys
 }
 
 // normalizeColumns L1-normalises the columns of U, the sums accumulated

@@ -13,10 +13,15 @@
 // costs O(n²·deg) with no per-row state. Every other Sim is refined as
 // candidate lists: top-k rows pruned back to the candidate budget after
 // every update, so a 100k-node alignment refines in O(n·k·deg) per
-// iteration without an n×n buffer. Both paths add in the same orders,
-// so refining a dense matrix and refining a full (k ≥ nt) candidate
-// list are bit-identical; TestDenseAndFullCandidateListAgreeBitwise
-// checks that across graph shapes, token budgets and worker counts, and
+// iteration without an n×n buffer, and returned best-first, as
+// align.TopKSim's Scan and Predict require. Both paths add in the same
+// orders, so refining a dense matrix and refining a full (k ≥ nt)
+// candidate list are bit-identical: a candidate row's L1 sum adds its
+// sorted scores best-first, and a dense row's adds its values largest
+// first, ordered by a radix sort of their bits
+// (TestRowSumBitIdenticalToSort holds that sum to a comparison sort's).
+// TestDenseAndFullCandidateListAgreeBitwise checks the identity across
+// graph shapes, token budgets and worker counts, and
 // TestRefinedBitsPinned pins both paths' output bits. Both paths choose
 // their token matches through internal/topk, the candidate generators'
 // selector, ties to the lower column.
@@ -286,6 +291,12 @@ func (s *state) softAssignRows() {
 }
 
 func (s *state) toSim() align.Sim {
+	// The column normalisation reorders rows; put each back best-first,
+	// the order TopKSim's Scan and Predict rely on. No step reads the
+	// order, so once at the end suffices.
+	for i, idx := range s.idx {
+		align.SortRowDesc(idx, s.score[i])
+	}
 	c := &align.Candidates{K: s.k, Idx: s.idx, Score: s.score}
 	return &align.TopKSim{C: c, Cols: s.cols}
 }

@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"github.com/htc-align/htc/internal/align"
@@ -143,6 +144,134 @@ func TestDenseAndFullCandidateListAgreeBitwise(t *testing.T) {
 	}
 }
 
+// TestCandidateRowsBestFirst checks that refined candidate rows keep the
+// order align.TopKSim promises: score descending, ties to the lower
+// column. The column normalisation reorders a row after its update
+// sorted it, so the rows must be put back in order.
+func TestCandidateRowsBestFirst(t *testing.T) {
+	for _, p := range refinePairs(t) {
+		match := make([]int, p.gs.N())
+		for i := range match {
+			match[i] = i % p.gt.N()
+		}
+		pruned, err := FromMatching(match, p.gt.N(), 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, in := range []align.Sim{fullTopK(p.m), pruned} {
+			res, err := Refine(in, p.gs, p.gt, Options{Iters: 3})
+			if err != nil {
+				t.Fatal(err)
+			}
+			c := res.Sim.(*align.TopKSim).C
+			for i, idx := range c.Idx {
+				sc := c.Score[i]
+				for q := 1; q < len(idx); q++ {
+					if sc[q] > sc[q-1] || sc[q] == sc[q-1] && idx[q] < idx[q-1] {
+						t.Fatalf("%s, k=%d: row %d holds (%d, %v) after (%d, %v)",
+							p.name, c.K, i, idx[q], sc[q], idx[q-1], sc[q-1])
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestRowSumBitIdenticalToSort holds the dense path's row sum to a
+// comparison-sort reference, bit for bit: sort a copy ascending, then
+// add from the largest down. The rows cover lengths around the radix
+// digit's 256 buckets and the refined row width, ties, ±0, subnormals,
+// negatives, ±Inf, and keys that share every byte but one, so that all
+// but one radix pass is skipped. One scratch serves every row, as a
+// worker's does.
+func TestRowSumBitIdenticalToSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	levels := []float64{-1.5, -1e-300, math.Copysign(0, -1), 0, 5e-324, 0.25, 0.25, 3}
+	type gen struct {
+		name string
+		draw func(j int) float64
+	}
+	gens := []gen{
+		{"uniform", func(int) float64 { return rng.Float64() }},
+		{"ties", func(int) float64 { return levels[rng.Intn(len(levels))] }},
+		{"zeros", func(int) float64 {
+			if rng.Intn(2) == 0 {
+				return math.Copysign(0, -1)
+			}
+			return 0
+		}},
+		{"subnormal", func(int) float64 {
+			v := math.Float64frombits(rng.Uint64() & (1<<52 - 1))
+			if rng.Intn(3) == 0 {
+				v = -v
+			}
+			return v
+		}},
+		{"signed", func(int) float64 { return rng.NormFloat64() * math.Exp(20*rng.NormFloat64()) }},
+		{"inf", func(int) float64 {
+			switch rng.Intn(8) {
+			case 0:
+				return math.Inf(1)
+			case 1:
+				return math.Inf(-1)
+			}
+			return rng.NormFloat64()
+		}},
+		{"posinf", func(j int) float64 {
+			if j%5 == 0 {
+				return math.Inf(1)
+			}
+			return rng.Float64()
+		}},
+		{"neginf", func(j int) float64 {
+			if j%5 == 0 {
+				return math.Inf(-1)
+			}
+			return -rng.Float64()
+		}},
+	}
+	// Keys that differ only in byte d: a base near ±1 with that byte
+	// drawn at random. Byte 7 holds the sign and the exponent's top bits,
+	// so there it varies only below 0x7f, keeping one sign and finite
+	// values.
+	for d := 0; d < 8; d++ {
+		for _, sign := range []uint64{0, 1 << 63} {
+			base := math.Float64bits(1.375) | sign
+			gens = append(gens, gen{fmt.Sprintf("byte%d/neg=%v", d, sign != 0), func(int) float64 {
+				b := byte(rng.Intn(256))
+				if d == 7 {
+					b = byte(rng.Intn(0x7f)) | byte(sign>>56)
+				}
+				return math.Float64frombits(base&^(0xff<<(8*d)) | uint64(b)<<(8*d))
+			}})
+		}
+	}
+
+	sc := &denseScratch{keys: make([]uint64, 1200), tmp: make([]uint64, 1200)}
+	ref := make([]float64, 1200)
+	for _, g := range gens {
+		for _, n := range []int{0, 1, 2, 3, 255, 256, 257, 1200} {
+			for trial := 0; trial < 3; trial++ {
+				row := make([]float64, n)
+				for j := range row {
+					row[j] = g.draw(j)
+				}
+				vals := ref[:n]
+				copy(vals, row)
+				slices.Sort(vals)
+				var want float64
+				for k := n - 1; k >= 0; k-- {
+					want += vals[k]
+				}
+				if got := sc.sumDesc(row); math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("%s, n=%d, trial %d: sum %v (%#x), sorted reference %v (%#x)",
+						g.name, n, trial, got, math.Float64bits(got), want, math.Float64bits(want))
+				}
+			}
+		}
+	}
+}
+
 // simSHA256 hashes a Sim's exact bits: a dense matrix row-major, a
 // candidate list row by row as its length, then (column, score) pairs.
 func simSHA256(s align.Sim) string {
@@ -172,8 +301,11 @@ func simSHA256(s align.Sim) string {
 // TestRefinedBitsPinned pins the exact output of both paths. The dense ≡
 // candidate-list test alone would pass if both drifted together. The
 // constants were computed with the refinement of commit 7a394b9, before
-// the dense path was rebuilt; a change to them is a change to the
-// numerics and must be deliberate.
+// the dense path was rebuilt; the candidate-list one was re-taken once
+// when refined rows were put back in best-first order (an order-free
+// digest of every row's (column, score) pairs was equal before and
+// after). A change to them is a change to the numerics and must be
+// deliberate.
 func TestRefinedBitsPinned(t *testing.T) {
 	gs, gt, perm := testPair(60, 0.05, 31)
 	m := noisySim(60, perm, 0.3, 32)
@@ -199,7 +331,7 @@ func TestRefinedBitsPinned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := simSHA256(sres.Sim), "2a2422251949bc2e1b3a4a77847ae8a63eb7b9f927e31efcdbac9f879d4d8536"; got != want {
+	if got, want := simSHA256(sres.Sim), "09637541580d1edf8c1dd931741031a0f7febf66d5cd44f1d6d346b8962cd303"; got != want {
 		t.Errorf("candidate-list refinement bits: sha256 %s, want %s", got, want)
 	}
 }

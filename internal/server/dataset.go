@@ -127,7 +127,7 @@ func resolvePair(req *AlignRequest) (*datasets.Pair, error) {
 const maxDatasetIDLen = 64
 
 // validDatasetID enforces the id grammar of PUT /v1/datasets/{id}:
-// filesystem- and URL-safe, no lookalike tricks.
+// filesystem- and URL-safe, no dot segment, no lookalike tricks.
 func validDatasetID(id string) error {
 	if id == "" || len(id) > maxDatasetIDLen {
 		return fmt.Errorf("dataset id must be 1..%d characters", maxDatasetIDLen)
@@ -139,6 +139,9 @@ func validDatasetID(id string) error {
 		default:
 			return fmt.Errorf("dataset id %q may only contain letters, digits, '.', '_' and '-'", id)
 		}
+	}
+	if id == "." || id == ".." {
+		return fmt.Errorf("dataset id %q is a dot segment, which clients remove from a path", id)
 	}
 	if _, ok := builtinDatasets[strings.ToLower(id)]; ok {
 		return fmt.Errorf("dataset id %q shadows a built-in dataset", id)

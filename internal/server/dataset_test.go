@@ -108,6 +108,31 @@ func TestDatasetUploadValidation(t *testing.T) {
 	}
 }
 
+// TestDatasetDotSegmentIDs: "." and ".." are dot segments that clients
+// and the mux remove from a plain path, so a dataset under either id
+// would be reachable only percent-encoded. Both are rejected with the
+// standard 400 and never listed.
+func TestDatasetDotSegmentIDs(t *testing.T) {
+	ts := newTestServer(t, Options{Workers: 1})
+	for _, path := range []string{"/v1/datasets/%2E%2E", "/v1/datasets/%2E"} {
+		code, blob := doJSON(t, ts, http.MethodPut, path, uploadBody())
+		if code != http.StatusBadRequest || !bytes.Contains(blob, []byte("dot segment")) {
+			t.Errorf("PUT %s: %d, want 400 naming the dot segment\n%s", path, code, blob)
+		}
+	}
+	code, blob := doJSON(t, ts, http.MethodGet, "/v1/datasets", "")
+	if code != http.StatusOK {
+		t.Fatalf("list: %d\n%s", code, blob)
+	}
+	var list struct{ Uploaded []DatasetInfo }
+	if err := json.Unmarshal(blob, &list); err != nil {
+		t.Fatal(err)
+	}
+	if len(list.Uploaded) != 0 {
+		t.Errorf("rejected ids listed: %+v", list.Uploaded)
+	}
+}
+
 // TestDatasetAlignEndToEnd uploads a named pair, aligns it by dataset id,
 // and checks that evaluation ran against the uploaded truth and the
 // matching is reported by node name.

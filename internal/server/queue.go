@@ -155,7 +155,8 @@ type Queue struct {
 
 // NewQueue starts a queue with the given worker count and backlog depth.
 // runner executes each job; metrics may be nil, and so may logger, which
-// receives the stack of a job whose runner panicked.
+// receives a line for each failed job and the stack of a job whose
+// runner panicked.
 func NewQueue(workers, depth int, runner Runner, metrics *Metrics, logger *log.Logger) *Queue {
 	if workers < 1 {
 		workers = 1
@@ -352,11 +353,17 @@ func (q *Queue) run(job *Job) {
 	q.metrics.JobsRunning.Add(1)
 	res, err := q.runGuarded(job)
 	q.metrics.JobsRunning.Add(-1)
+	cancelled := err != nil && (errors.Is(err, context.Canceled) || job.ctx.Err() != nil)
+	if err != nil && !cancelled {
+		// Logged before the status shows, and outside the job's lock,
+		// since the logger writes to the caller's writer.
+		q.log.Printf("job %s failed: %v", job.ID, err)
+	}
 
 	job.mu.Lock()
 	job.finished = time.Now()
 	switch {
-	case err != nil && (errors.Is(err, context.Canceled) || job.ctx.Err() != nil):
+	case cancelled:
 		job.status = StatusCancelled
 		job.err = context.Canceled
 		q.metrics.JobsCancelled.Add(1)

@@ -1,8 +1,10 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"log"
 	"testing"
 	"time"
 )
@@ -162,6 +164,32 @@ func TestFailedJobReportsError(t *testing.T) {
 	info := job.Info()
 	if info.Error != "boom" || info.Result != nil {
 		t.Errorf("unexpected failed info: %+v", info)
+	}
+}
+
+// TestFailedJobLogsLine: a job whose runner returns an error leaves a
+// "job <id> failed: <err>" line in the queue's log; a cancelled job
+// leaves none.
+func TestFailedJobLogsLine(t *testing.T) {
+	var logBuf bytes.Buffer
+	started := make(chan *Job, 1)
+	q := NewQueue(1, 2, func(ctx context.Context, job *Job) (any, error) {
+		if job.Req.Dataset == "bad" {
+			return nil, errors.New("boom")
+		}
+		return blockingRunner(started)(ctx, job)
+	}, nil, log.New(&logBuf, "", 0))
+	defer q.Close()
+
+	bad, _, _ := q.Submit(&AlignRequest{Dataset: "bad"})
+	waitStatus(t, bad, StatusFailed)
+	hog, _, _ := q.Submit(&AlignRequest{Dataset: "x"})
+	<-started
+	hog.Cancel()
+	waitStatus(t, hog, StatusCancelled)
+
+	if want := "job " + bad.ID + " failed: boom\n"; logBuf.String() != want {
+		t.Errorf("log %q, want %q", logBuf.String(), want)
 	}
 }
 

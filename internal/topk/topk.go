@@ -1,8 +1,9 @@
 // Package topk selects the k best entries of a scored list under the
 // one tie rule every candidate list in the aligner follows: a larger
 // score first, equal scores to the lower index. The blocked top-k scan
-// and the ANN re-rank in internal/align and internal/ann, and RefiNA's
-// token choice in internal/refine, all select through Select. That is
+// and the ANN re-rank in internal/align and internal/ann, the dense
+// hubness degrees in internal/align, and RefiNA's token choice in
+// internal/refine, all select through Select. That is
 // what keeps a full-probe ANN index bit-identical to the blocked scan,
 // and RefiNA's candidate-list path bit-identical to its dense path.
 package topk
