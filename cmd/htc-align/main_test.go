@@ -3,6 +3,7 @@ package main
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -127,6 +128,37 @@ func TestVariantSelection(t *testing.T) {
 				t.Fatalf("sections ran %v, want %v:\n%s", got, tc.want, out)
 			}
 		})
+	}
+}
+
+// TestRefinedTopKPrintsDenseLines: with refinement on, the topk backend
+// at k = n prints the dense run's lines, both the predictions and, under
+// -top, every candidate row in its Scan order, since a refined candidate
+// row is kept best-first as a dense row's Scan visits it.
+func TestRefinedTopKPrintsDenseLines(t *testing.T) {
+	const config = `{"variant":"HTC-LT","epochs":3,"hidden":8,"embed":4,"m":5,"refine_iters":3%s}`
+	for _, args := range [][]string{nil, {"-top", "10"}} {
+		var lines [2]string
+		for i, sim := range []string{"", `,"similarity":"topk","candidate_k":10`} {
+			out, stderr, code := htcAlign(t, append([]string{"-config", fmt.Sprintf(config, sim)}, args...)...)
+			if code != 0 {
+				t.Fatalf("%v %s: exit %d: %s", args, sim, code, stderr)
+			}
+			if !strings.Contains(out, "# refine: iters=3") {
+				t.Fatalf("%v %s: no refinement ran:\n%s", args, sim, out)
+			}
+			for _, l := range strings.Split(out, "\n") {
+				if l != "" && !strings.HasPrefix(l, "#") {
+					lines[i] += l + "\n"
+				}
+			}
+		}
+		if strings.Count(lines[0], "\n") != 10 {
+			t.Fatalf("%v: dense run printed\n%s\nwant one line per source node", args, lines[0])
+		}
+		if lines[1] != lines[0] {
+			t.Fatalf("%v: topk at k = n printed\n%s\nwant the dense run's\n%s", args, lines[1], lines[0])
+		}
 	}
 }
 

@@ -222,7 +222,7 @@ func IntegrateSims(sims []Sim, trusted []int) (Sim, []float64) {
 		for c, j := range members {
 			score[c] = acc[j]
 		}
-		sortRowDesc(members, score)
+		SortRowDesc(members, score)
 		out.Idx[i] = members
 		out.Score[i] = score
 		if len(members) > maxK {
@@ -251,34 +251,65 @@ func integrationWeights(trusted []int) []float64 {
 	return gammas
 }
 
-// candRow sorts a candidate row in place: descending score, ties by
-// ascending column index (the dense argmax tie rule). The comparator is a
-// strict total order, so an unstable sort is deterministic.
-type candRow struct {
-	idx   []int32
-	score []float64
-}
-
-func (r candRow) Len() int { return len(r.idx) }
-func (r candRow) Less(a, b int) bool {
-	if r.score[a] != r.score[b] {
-		return r.score[a] > r.score[b]
-	}
-	return r.idx[a] < r.idx[b]
-}
-func (r candRow) Swap(a, b int) {
-	r.idx[a], r.idx[b] = r.idx[b], r.idx[a]
-	r.score[a], r.score[b] = r.score[b], r.score[a]
-}
-
-// sortRowDesc orders one candidate row best-first in place.
-func sortRowDesc(idx []int32, score []float64) {
-	sort.Sort(candRow{idx: idx, score: score})
-}
-
 // SortRowDesc orders a candidate row best-first in place: descending
 // score, ties by ascending column — the one tie rule every sparse
 // consumer (matching, evaluation, refinement) shares, exported so other
 // packages producing candidate rows cannot drift from it. topk.Select
-// keeps the k best of a row by the same rule without a full sort.
-func SortRowDesc(idx []int32, score []float64) { sortRowDesc(idx, score) }
+// keeps the k best of a row by the same rule without a full sort. The
+// rule is a strict total order on a row's distinct columns, so any
+// correct sort gives the same row; this one sorts the two slices in
+// place and allocates nothing: insertion sort up to 12 entries, heapsort
+// beyond.
+func SortRowDesc(idx []int32, score []float64) {
+	n := len(idx)
+	if n <= 12 {
+		for i := 1; i < n; i++ {
+			for j := i; j > 0 && entryAfter(idx, score, j-1, j); j-- {
+				swapEntries(idx, score, j-1, j)
+			}
+		}
+		return
+	}
+	// A heap whose root is the worst entry left; each pop moves it to
+	// the end of the unsorted prefix.
+	for root := n/2 - 1; root >= 0; root-- {
+		siftWorst(idx, score, root, n)
+	}
+	for end := n - 1; end > 0; end-- {
+		swapEntries(idx, score, 0, end)
+		siftWorst(idx, score, 0, end)
+	}
+}
+
+// siftWorst restores the heap of the first n entries below root, the
+// worse of two entries above the better.
+func siftWorst(idx []int32, score []float64, root, n int) {
+	for {
+		c := 2*root + 1
+		if c >= n {
+			return
+		}
+		if c+1 < n && entryAfter(idx, score, c+1, c) {
+			c++
+		}
+		if !entryAfter(idx, score, c, root) {
+			return
+		}
+		swapEntries(idx, score, root, c)
+		root = c
+	}
+}
+
+// entryAfter reports whether entry a sorts after entry b: a lower score,
+// or an equal score at a higher column.
+func entryAfter(idx []int32, score []float64, a, b int) bool {
+	if score[a] != score[b] {
+		return score[a] < score[b]
+	}
+	return idx[a] > idx[b]
+}
+
+func swapEntries(idx []int32, score []float64, a, b int) {
+	idx[a], idx[b] = idx[b], idx[a]
+	score[a], score[b] = score[b], score[a]
+}

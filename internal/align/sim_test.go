@@ -1,7 +1,9 @@
 package align
 
 import (
+	"math"
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -20,7 +22,7 @@ func fullTopKSim(m *dense.Matrix) *TopKSim {
 			idx[j] = int32(j)
 		}
 		copy(score, m.Row(i))
-		sortRowDesc(idx, score)
+		SortRowDesc(idx, score)
 		c.Idx[i] = idx
 		c.Score[i] = score
 	}
@@ -258,5 +260,73 @@ func TestTopKCandidatesWorkersIdentical(t *testing.T) {
 				t.Fatalf("row %d cand %d differs across worker counts", i, c)
 			}
 		}
+	}
+}
+
+// refRow is the sort.Interface comparator SortRowDesc replaced, kept as
+// the reference order: descending score, ties by ascending column.
+type refRow struct {
+	idx   []int32
+	score []float64
+}
+
+func (r refRow) Len() int { return len(r.idx) }
+func (r refRow) Less(a, b int) bool {
+	if r.score[a] != r.score[b] {
+		return r.score[a] > r.score[b]
+	}
+	return r.idx[a] < r.idx[b]
+}
+func (r refRow) Swap(a, b int) {
+	r.idx[a], r.idx[b] = r.idx[b], r.idx[a]
+	r.score[a], r.score[b] = r.score[b], r.score[a]
+}
+
+// TestSortRowDescMatchesReference: on random rows of distinct columns,
+// at every length from 0 to 300 (insertion sort up to 12 entries,
+// heapsort beyond), SortRowDesc gives sort.Sort's order under the
+// reference comparator. Scores are drawn from few levels, so most rows
+// hold ties, including +0 against -0, which only the column breaks.
+func TestSortRowDescMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for n := 0; n <= 300; n++ {
+		for rep := 0; rep < 4; rep++ {
+			idx := make([]int32, n)
+			score := make([]float64, n)
+			for i, j := range rng.Perm(2*n + 1)[:n] {
+				idx[i] = int32(j)
+			}
+			levels := 1 + rng.Intn(n+1)
+			for i := range score {
+				score[i] = float64(rng.Intn(levels)-levels/2) / 4
+				if score[i] == 0 && rng.Intn(2) == 0 {
+					score[i] = math.Copysign(0, -1)
+				}
+			}
+			want := refRow{append([]int32(nil), idx...), append([]float64(nil), score...)}
+			sort.Sort(want)
+			SortRowDesc(idx, score)
+			for i := range idx {
+				if idx[i] != want.idx[i] || math.Float64bits(score[i]) != math.Float64bits(want.score[i]) {
+					t.Fatalf("n=%d rep=%d entry %d: (%d, %v), want (%d, %v)", n, rep, i, idx[i], score[i], want.idx[i], want.score[i])
+				}
+			}
+		}
+	}
+}
+
+// TestSortRowDescAllocatesNothing: sorting a 16-entry row allocates
+// nothing (the boxed sort.Interface it replaced allocated once a call).
+func TestSortRowDescAllocatesNothing(t *testing.T) {
+	idx := make([]int32, 16)
+	score := make([]float64, 16)
+	allocs := testing.AllocsPerRun(100, func() {
+		for i := range idx {
+			idx[i], score[i] = int32(i), float64(i%5)
+		}
+		SortRowDesc(idx, score)
+	})
+	if allocs != 0 {
+		t.Fatalf("SortRowDesc allocates %v times per call, want 0", allocs)
 	}
 }

@@ -111,6 +111,6 @@ func lisiTransform(c *Candidates, dt, ds []float64) {
 		for p, j := range cands {
 			scores[p] = 2*scores[p] - di - ds[j]
 		}
-		sortRowDesc(cands, scores)
+		SortRowDesc(cands, scores)
 	}
 }

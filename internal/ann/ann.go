@@ -18,7 +18,10 @@
 // deeper with a fresh locally-centered plane set (see balance.go), and a
 // per-query pool cap can bound the gathered candidate pool in
 // margin-probe order. Params.Unbalanced restores the raw SRP index for
-// A/B comparison.
+// A/B comparison. Both hash levels are one table type, drawn by one
+// newTable, filled by one bucketSort and probed by one walker; the
+// float32 tier hashes its rows and queries widened to float64, which is
+// exact, so it shares every hashing step but the batch projection.
 //
 // Refitting a same-shaped matrix into an index (the fine-tuning loop)
 // keeps the planes and whitening frozen at the first Fit and recodes
@@ -40,6 +43,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"math/rand"
 
 	"github.com/htc-align/htc/internal/dense"
 	"github.com/htc-align/htc/internal/par"
@@ -120,27 +124,35 @@ type Index struct {
 	p      Params
 	data   *dense.Matrix   // fitted rows (borrowed, not copied); nil on the f32 tier
 	data32 *dense.Matrix32 // fitted rows of the f32 tier; exactly one of data/data32 is set
-	n      int
+	n, d   int
 
-	planes *dense.Matrix // Bits×d effective hyperplanes: G·T, whitened unless Unbalanced
-	bias   []float64     // per-bit centering offsets μ·w̃ (zero when Unbalanced)
+	top    table         // first-level table, its offsets over the whole order array
 	xform  *dense.Matrix // d×d whitening transform T (nil when Unbalanced)
 	proj   *dense.Matrix // n×Bits row projections of the last hashed fit
-	codes  []uint32      // per-row bucket code
-	start  []int32       // CSR bucket offsets, len 2^Bits+1
+	codes  []uint32      // bucket-code scratch: every row's, then a re-hashed segment's
 	order  []int32       // row ids grouped by bucket, stable in row order
+	tmp    []int32       // bucket-sort output scratch of a re-hashed segment
 	cursor []int32       // counting-sort scratch
+	mean   []float64     // a re-hashed bucket's row mean
+	wide   []float64     // a fitted f32-tier row widened to float64
 
-	subs      []subTable // second-level tables of re-hashed oversized buckets
-	subOf     []int32    // per bucket: index into subs, or -1
-	subBudget int        // max rows a probed re-hashed bucket contributes
-	subCode   []uint32   // sub-rehash scratch
-	subTmp    []int32
-	subCursor []int32
-	subMean   []float64
+	subs      []table // second-level tables of re-hashed oversized buckets
+	subOf     []int32 // per bucket: index into subs, or -1
+	subBudget int     // max rows a probed re-hashed bucket contributes
 
 	workers []searcher // per-worker query scratch
 	stats   Stats
+}
+
+// table is one hash level: the first over every fitted row, or the
+// second of one re-hashed bucket. A row's code sets bit j when its
+// projection on plane j clears bias[j]; start holds the CSR offsets of
+// the 2^bits buckets within the level's segment of the order array.
+type table struct {
+	bits   int
+	planes *dense.Matrix
+	bias   []float64
+	start  []int32
 }
 
 // New validates the parameters and returns an empty index; Fit must run
@@ -176,125 +188,157 @@ func (ix *Index) Stats() Stats {
 // anyway.
 //
 // The first Fit freezes the hash geometry: hyperplanes are drawn from
-// the seed and rotated/centered against the fitted data (see
-// buildTransform). A later Fit of a same-shaped matrix keeps that
-// geometry and recodes every row through it; a shape change draws it
-// again.
+// the seed and rotated/centered against the fitted data (see freeze). A
+// later Fit of a same-shaped matrix keeps that geometry and recodes
+// every row through it; a shape change draws it again.
 func (ix *Index) Fit(data *dense.Matrix, workers int) {
 	ix.data, ix.data32 = data, nil
-	hash, fresh := ix.begin(data.Rows, data.Cols)
-	if fresh {
-		ix.buildTransform(data.Cols, data.Rows, data.Row)
-	}
-	if hash {
-		dense.MulBTInto(ix.proj, data, ix.planes, workers)
+	if ix.begin(data.Rows, data.Cols) {
+		dense.MulBTInto(ix.proj, data, ix.top.planes, workers)
 		ix.encode(workers)
 	}
 }
 
 // Fit32 is Fit for the float32 compute tier: the same frozen geometry
-// over half-width rows. Projections accumulate in float64 (see dot32),
-// so codes are exactly as deterministic as the float64 tier's. An index
-// fitted with Fit32 answers queries through TopK32.
+// over half-width rows. The batch projection accumulates in float64
+// (dense.MulBTMixed32Into), and every other hashing step reads rows
+// widened to float64, which is exact, so codes are exactly as
+// deterministic as the float64 tier's. An index fitted with Fit32
+// answers queries through TopK32.
 func (ix *Index) Fit32(data *dense.Matrix32, workers int) {
 	ix.data, ix.data32 = nil, data
-	hash, fresh := ix.begin(data.Rows, data.Cols)
-	if fresh {
-		// The whitening sample reads ~annSampleTarget rows; widening them
-		// through one reused buffer keeps the transform math — and hence
-		// the frozen geometry — in float64 regardless of the tier.
-		buf := make([]float64, data.Cols)
-		ix.buildTransform(data.Cols, data.Rows, func(i int) []float64 {
-			for j, v := range data.Row(i) {
-				buf[j] = float64(v)
-			}
-			return buf
-		})
-	}
-	if hash {
-		dense.MulBTMixed32Into(ix.proj, data, ix.planes, workers)
+	if ix.begin(data.Rows, data.Cols) {
+		dense.MulBTMixed32Into(ix.proj, data, ix.top.planes, workers)
 		ix.encode(workers)
 	}
 }
 
 // begin counts a fit of an n×d matrix and reports whether its rows are
-// hashed (not on the exact path, not when empty) and whether the hash
-// geometry must be drawn first: on the first hashed fit, and whenever
-// the shape differs from the last hashed fit's. It sizes the n×Bits
-// projection scratch, whose shape records that last fit.
-func (ix *Index) begin(n, d int) (hash, fresh bool) {
-	ix.n = n
+// hashed (not on the exact path, not when empty). It draws the hash
+// geometry first on the first hashed fit, and whenever the shape differs
+// from the last hashed fit's, and sizes the n×Bits projection scratch,
+// whose shape records that last fit.
+func (ix *Index) begin(n, d int) bool {
+	ix.n, ix.d = n, d
 	ix.stats.Fits++
 	if ix.p.Exact() || n == 0 {
-		return false, false
+		return false
 	}
 	ix.stats.Rows += int64(n)
-	fresh = ix.planes == nil || ix.planes.Cols != d || ix.proj.Rows != n
+	if ix.top.planes == nil || ix.top.planes.Cols != d || ix.proj.Rows != n {
+		ix.freeze()
+	}
 	ix.proj = dense.Ensure(ix.proj, n, ix.p.Bits)
-	return true, fresh
+	return true
 }
 
-// encode is the one encode-and-bucket step of both tiers: bit j of a
-// row's code is set when its projection clears the j-th centering
-// offset, then the buckets and their second-level tables are rebuilt.
-// The projection kernels are deterministic for every worker count, so
-// the codes are too.
+// row returns fitted row i in float64: the row itself on the float64
+// tier, widened (exactly) into a reused buffer on the float32 tier, so
+// every hashing step past the batch projection runs one float64 code.
+func (ix *Index) row(i int) []float64 {
+	if ix.data32 != nil {
+		ix.wide = widen(ix.wide, ix.data32.Row(i))
+		return ix.wide
+	}
+	return ix.data.Row(i)
+}
+
+// newTable draws one hash level of bits planes from seed, whitened
+// through the frozen transform (unless Unbalanced) and centered on mean
+// (nil: no centering). Its buckets are filled by bucketSort.
+func (ix *Index) newTable(bits int, seed int64, mean []float64) table {
+	t := table{bits: bits, planes: dense.New(bits, ix.d), bias: make([]float64, bits)}
+	rng := rand.New(rand.NewSource(seed))
+	for i := range t.planes.Data {
+		t.planes.Data[i] = rng.NormFloat64()
+	}
+	if ix.xform != nil {
+		// T is symmetric, so G·Tᵀ = G·T: each effective plane w̃_j = T·g_j.
+		w := dense.New(bits, ix.d)
+		dense.MulBTInto(w, t.planes, ix.xform, 1)
+		t.planes = w
+	}
+	if mean != nil {
+		for j := range t.bias {
+			t.bias[j] = dense.Dot(mean, t.planes.Row(j))
+		}
+	}
+	return t
+}
+
+// project sets z[j] to x's projection on plane j less its centering
+// offset, and returns x's code in t.
+func (t *table) project(x, z []float64) uint32 {
+	var c uint32
+	for j := range t.bits {
+		z[j] = dense.Dot(x, t.planes.Row(j)) - t.bias[j]
+		if z[j] >= 0 {
+			c |= 1 << uint(j)
+		}
+	}
+	return c
+}
+
+// bucketSort is the stable counting sort of both levels: it sets t.start
+// to the offsets of codes' buckets, then writes the ids (nil: 0, 1, …)
+// into out grouped by bucket, in input order within each.
+func (ix *Index) bucketSort(t *table, codes []uint32, ids, out []int32) {
+	nb := 1 << t.bits
+	t.start = resize(t.start, nb+1)
+	clear(t.start)
+	for _, c := range codes {
+		t.start[c+1]++
+	}
+	for b := range nb {
+		t.start[b+1] += t.start[b]
+	}
+	ix.cursor = resize(ix.cursor, nb)
+	copy(ix.cursor, t.start[:nb])
+	for i, c := range codes {
+		id := int32(i)
+		if ids != nil {
+			id = ids[i]
+		}
+		out[ix.cursor[c]] = id
+		ix.cursor[c]++
+	}
+}
+
+// encode codes every row from its batch projection — bit j set when the
+// projection clears the j-th centering offset — then rebuilds the
+// first-level buckets, the last-fit occupancy statistics and the
+// second-level tables. The projection kernels are deterministic for
+// every worker count, so the codes are too.
 func (ix *Index) encode(workers int) {
 	ix.codes = resize(ix.codes, ix.n)
 	par.For(workers, ix.n, ix.p.Bits, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			var c uint32
 			for j, v := range ix.proj.Row(i) {
-				if v-ix.bias[j] >= 0 {
+				if v-ix.top.bias[j] >= 0 {
 					c |= 1 << uint(j)
 				}
 			}
 			ix.codes[i] = c
 		}
 	})
-	ix.buildBuckets()
-	ix.buildSubs()
-}
-
-// buildBuckets (re)assembles the CSR buckets from the codes — a stable
-// counting sort: offsets, then rows in ascending id order within each
-// bucket — and refreshes the last-fit occupancy statistics.
-func (ix *Index) buildBuckets() {
-	nb := 1 << ix.p.Bits
-	ix.start = resize(ix.start, nb+1)
-	ix.cursor = resize(ix.cursor, nb)
-	for i := range ix.start[:nb+1] {
-		ix.start[i] = 0
-	}
-	for _, c := range ix.codes[:ix.n] {
-		ix.start[c+1]++
-	}
-	for b := 0; b < nb; b++ {
-		ix.start[b+1] += ix.start[b]
-	}
-	copy(ix.cursor, ix.start[:nb])
 	ix.order = resize(ix.order, ix.n)
-	for i, c := range ix.codes[:ix.n] {
-		ix.order[ix.cursor[c]] = int32(i)
-		ix.cursor[c]++
-	}
+	ix.bucketSort(&ix.top, ix.codes, nil, ix.order)
+	nb := 1 << ix.p.Bits
 	ix.stats.Buckets = nb
 	ix.stats.MaxBucket = 0
 	if ix.stats.Occupancy == nil {
 		ix.stats.Occupancy = make([]int64, 33)
 	}
-	for i := range ix.stats.Occupancy {
-		ix.stats.Occupancy[i] = 0
-	}
-	for b := 0; b < nb; b++ {
-		size := int(ix.start[b+1] - ix.start[b])
-		if size > ix.stats.MaxBucket {
-			ix.stats.MaxBucket = size
-		}
+	clear(ix.stats.Occupancy)
+	for b := range nb {
+		size := int(ix.top.start[b+1] - ix.top.start[b])
+		ix.stats.MaxBucket = max(ix.stats.MaxBucket, size)
 		if size > 0 {
 			ix.stats.Occupancy[bits.Len32(uint32(size))]++
 		}
 	}
+	ix.buildSubs()
 }
 
 // annBlockRows sizes the per-worker query batches of the hashed path.
@@ -332,12 +376,12 @@ func (ix *Index) TopK(queries *dense.Matrix, k, workers int) *Result {
 }
 
 // TopK32 answers batched queries on the float32 tier, against an index
-// fitted with Fit32. The probe machinery is shared with TopK; only the
-// row-scoring points (query projection, sub-bucket projection, re-rank,
-// exact scan) read half-width values, each with a float64 accumulator.
-// Scores round to float32 before the final widen — the store semantics
-// of dense.MulBTInto32, which scores the exact path — so the re-rank and
-// the exact scan rank equal rows alike.
+// fitted with Fit32. A query hashes and walks the buckets widened to
+// float64, which is exact, so it probes as the float64 tier's code does;
+// only the re-rank and the exact scan read half-width values, each with
+// a float64 accumulator. Scores round to float32 before the final widen
+// — the store semantics of dense.MulBTInto32, which scores the exact
+// path — so the re-rank and the exact scan rank equal rows alike.
 func (ix *Index) TopK32(queries *dense.Matrix32, k, workers int) *Result {
 	return ix.topk(queries.Rows, k, workers, func(s *searcher, lo, hi int, out *Result) {
 		if ix.p.Exact() {
@@ -345,7 +389,9 @@ func (ix *Index) TopK32(queries *dense.Matrix32, k, workers int) *Result {
 			return
 		}
 		for r := lo; r < hi; r++ {
-			ix.search(s, nil, queries.Row(r), out.K, out.Idx[r], out.Score[r])
+			q32 := queries.Row(r)
+			s.wide = widen(s.wide, q32)
+			ix.search(s, s.wide, q32, out.K, out.Idx[r], out.Score[r])
 		}
 	})
 }
@@ -445,26 +491,17 @@ func selectRows[F float32 | float64](sel *topk.Selector, sc []F, n, lo int, out 
 
 // searcher is one worker's private query scratch.
 type searcher struct {
-	z    []float64 // query projections (bias-adjusted)
-	abs  []float64 // projection margins |z|
-	perm []int     // bit positions sorted by ascending margin
-	heap probeHeap // pending perturbation sets of the main probe loop
-	pool []int32
+	// top walks the first level; sub walks a re-hashed bucket's second
+	// level from inside top's visit.
+	top, sub walker
+	pool     []int32
 	// deferred holds (lo, hi) pairs of order-array segments set aside by
-	// sub-bucketed gathers: the parent-bucket rows beyond the sub-probe
-	// budget, drained in probe order only if the pool falls short of k.
+	// re-hashed gathers: the bucket rows beyond the sub-probe budget,
+	// drained in probe order only if the pool falls short of k.
 	deferred []int32
-	// Sub-probe scratch: the same margin/heap machinery one level down,
-	// over a re-hashed bucket's second-level table.
-	subZ    []float64
-	subAbs  []float64
-	subPerm []int
-	subHeap probeHeap
-	visited []int32 // (lo, hi) sub-bucket spans taken from the current bucket
-
-	q   []float64 // current query row (borrowed during one search; nil on the f32 tier)
-	q32 []float32 // current f32-tier query row (exactly one of q/q32 is set)
-	cap int       // effective pool cap for this TopK call (0 = none)
+	visited  []int32   // (lo, hi) sub-bucket spans taken from the current bucket
+	wide     []float64 // the current f32-tier query widened to float64
+	cap      int       // effective pool cap for this TopK call (0 = none)
 	// scores holds the re-rank scores of the pool, or on the exact path
 	// one block of queries scored against every fitted row (scores32 on
 	// the f32 tier); sel selects from them.
@@ -500,80 +537,19 @@ func (s *searcher) wantMore(k, probed, floor int) bool {
 	return probed < floor || len(s.pool) < k
 }
 
-// search fills one query's k best rows on the hashed path: it hashes the
-// query, walks buckets in multi-probe order until it has probed the
-// configured count and gathered ≥ k candidates, and exactly re-ranks the
-// pool. Exactly one of q/q32 is non-nil and selects the precision tier —
-// both tiers share every structural step and differ only where a row is
-// scored.
+// search fills one query's k best rows on the hashed path: it walks the
+// first-level buckets until it has probed the configured count and
+// gathered ≥ k candidates — the full walk reaches every bucket, and any
+// rows a re-hashed gather deferred are drained afterwards, so pool ≥ k
+// always terminates — and exactly re-ranks the pool. q is the query in
+// float64; q32, set on the f32 tier only, is what the re-rank scores.
 func (ix *Index) search(s *searcher, q []float64, q32 []float32, k int, outIdx []int32, outScore []float64) {
 	s.queries++
-	s.q = q
-	s.q32 = q32
-	nbits := ix.p.Bits
-	s.z = resize(s.z, nbits)
-	s.abs = resize(s.abs, nbits)
-	for j := 0; j < nbits; j++ {
-		if q32 != nil {
-			s.z[j] = dot32(q32, ix.planes.Row(j)) - ix.bias[j]
-		} else {
-			s.z[j] = dot(q, ix.planes.Row(j)) - ix.bias[j]
-		}
-		s.abs[j] = math.Abs(s.z[j])
-	}
-	var code uint32
-	for j, v := range s.z {
-		if v >= 0 {
-			code |= 1 << uint(j)
-		}
-	}
-	// Sort bit positions by ascending margin (ties by lower position):
-	// flipping a near-zero projection is the cheapest perturbation.
-	// Insertion sort — nbits ≤ 20.
-	if cap(s.perm) < nbits {
-		s.perm = make([]int, nbits)
-	}
-	s.perm = s.perm[:nbits]
-	for j := range s.perm {
-		s.perm[j] = j
-	}
-	for i := 1; i < nbits; i++ {
-		p := s.perm[i]
-		j := i
-		for j > 0 && s.abs[p] < s.abs[s.perm[j-1]] {
-			s.perm[j] = s.perm[j-1]
-			j--
-		}
-		s.perm[j] = p
-	}
-
-	// Walk buckets in multi-probe order: the query's own bucket, then
-	// perturbation sets popped cheapest-first, each pop seeding its
-	// shift and expand successors (every non-empty set is generated
-	// exactly once). Keep probing past the floor until the pool covers
-	// k — the full enumeration reaches every bucket, and any rows a
-	// sub-bucketed gather deferred are drained afterwards, so pool ≥ k
-	// always terminates.
-	s.heap.reset()
 	s.pool = s.pool[:0]
 	s.deferred = s.deferred[:0]
-	ix.gather(s, code)
-	s.heap.push(s.abs[s.perm[0]], 1)
-	total := 1 << nbits
-	for probed := 1; s.wantMore(k, probed, ix.p.Probes) && probed < total && s.heap.len() > 0; probed++ {
-		cost, mask := s.heap.pop()
-		var flip uint32
-		for m := mask; m != 0; m &= m - 1 {
-			flip |= 1 << uint(s.perm[bits.TrailingZeros32(m)])
-		}
-		ix.gather(s, code^flip)
-		if top := bits.Len32(mask) - 1; top+1 < nbits {
-			mTop := s.abs[s.perm[top]]
-			mNext := s.abs[s.perm[top+1]]
-			s.heap.push(cost-mTop+mNext, mask&^(1<<uint(top))|1<<uint(top+1)) // shift
-			s.heap.push(cost+mNext, mask|1<<uint(top+1))                      // expand
-		}
-	}
+	s.top.walk(&ix.top, q,
+		func(probed int) bool { return s.wantMore(k, probed, ix.p.Probes) },
+		func(b uint32) { ix.gather(s, q, b) })
 	for di := 0; di+1 < len(s.deferred) && len(s.pool) < k; di += 2 {
 		s.take(ix.order[s.deferred[di]:s.deferred[di+1]])
 	}
@@ -614,100 +590,47 @@ func (ix *Index) rerank(s *searcher, q []float64, q32 []float32, outIdx []int32,
 	} else {
 		m := ix.data
 		for ; p+4 <= n; p += 4 {
-			sc[p], sc[p+1], sc[p+2], sc[p+3] = dot4(q, m.Row(int(pool[p])), m.Row(int(pool[p+1])), m.Row(int(pool[p+2])), m.Row(int(pool[p+3])))
+			sc[p], sc[p+1], sc[p+2], sc[p+3] = dense.Dot4(q, m.Row(int(pool[p])), m.Row(int(pool[p+1])), m.Row(int(pool[p+2])), m.Row(int(pool[p+3])))
 		}
 		for ; p < n; p++ {
-			sc[p] = dot(q, m.Row(int(pool[p])))
+			sc[p] = dense.Dot(q, m.Row(int(pool[p])))
 		}
 	}
 	s.scores = sc
 	topk.Select(&s.sel, outIdx, outScore, pool, sc)
 }
 
-// gather appends one bucket's rows to the candidate pool. Buckets
-// partition the rows, so the pool never holds duplicates. A bucket that
-// was re-hashed one level deeper (see buildSubs) is walked through the
-// same margin-ordered multi-probe one level down, and contributes at
-// most subBudget rows — the size of the largest allowed ordinary bucket
-// — so a hot bucket can't flood the pool; the unvisited remainder is
+// gather appends one first-level bucket's rows to the candidate pool.
+// Buckets partition the rows, so the pool never holds duplicates. A
+// bucket that was re-hashed one level deeper (see buildSubs) is walked
+// by the same multi-probe one level down, and contributes at most
+// subBudget rows — the size of the largest allowed ordinary bucket — so
+// a hot bucket can't flood the pool; the unvisited remainder is
 // deferred, to be drained after the probe loop only if the pool falls
 // short of k.
-func (ix *Index) gather(s *searcher, bucket uint32) {
-	lo, hi := ix.start[bucket], ix.start[bucket+1]
+func (ix *Index) gather(s *searcher, q []float64, bucket uint32) {
+	lo, hi := ix.top.start[bucket], ix.top.start[bucket+1]
 	if lo == hi {
 		return
 	}
-	si := int32(-1)
-	if len(ix.subs) > 0 {
-		si = ix.subOf[bucket]
-	}
-	if si < 0 {
+	if len(ix.subs) == 0 || ix.subOf[bucket] < 0 {
 		s.take(ix.order[lo:hi])
 		return
 	}
-	st := &ix.subs[si]
-	sb := st.bits
-	s.subZ = resize(s.subZ, sb)
-	s.subAbs = resize(s.subAbs, sb)
-	var code uint32
-	for j := 0; j < sb; j++ {
-		var z float64
-		if s.q32 != nil {
-			z = dot32(s.q32, st.planes.Row(j)) - st.bias[j]
-		} else {
-			z = dot(s.q, st.planes.Row(j)) - st.bias[j]
-		}
-		s.subZ[j] = z
-		s.subAbs[j] = math.Abs(z)
-		if z >= 0 {
-			code |= 1 << uint(j)
-		}
-	}
-	if cap(s.subPerm) < sb {
-		s.subPerm = make([]int, sb)
-	}
-	s.subPerm = s.subPerm[:sb]
-	for j := range s.subPerm {
-		s.subPerm[j] = j
-	}
-	for i := 1; i < sb; i++ {
-		p := s.subPerm[i]
-		j := i
-		for j > 0 && s.subAbs[p] < s.subAbs[s.subPerm[j-1]] {
-			s.subPerm[j] = s.subPerm[j-1]
-			j--
-		}
-		s.subPerm[j] = p
-	}
+	st := &ix.subs[ix.subOf[bucket]]
 	taken := 0
 	s.visited = s.visited[:0]
-	probe := func(c uint32) {
-		slo, shi := lo+st.start[c], lo+st.start[c+1]
-		if slo == shi {
-			return
-		}
-		s.take(ix.order[slo:shi])
-		taken += int(shi - slo)
-		s.visited = append(s.visited, slo, shi)
-	}
-	s.subHeap.reset()
-	probe(code)
-	s.subHeap.push(s.subAbs[s.subPerm[0]], 1)
-	total := 1 << uint(sb)
-	for probed := 1; taken < ix.subBudget && probed < total && s.subHeap.len() > 0; probed++ {
-		cost, mask := s.subHeap.pop()
-		var flip uint32
-		for m := mask; m != 0; m &= m - 1 {
-			flip |= 1 << uint(s.subPerm[bits.TrailingZeros32(m)])
-		}
-		probe(code ^ flip)
-		if top := bits.Len32(mask) - 1; top+1 < sb {
-			mTop := s.subAbs[s.subPerm[top]]
-			mNext := s.subAbs[s.subPerm[top+1]]
-			s.subHeap.push(cost-mTop+mNext, mask&^(1<<uint(top))|1<<uint(top+1))
-			s.subHeap.push(cost+mNext, mask|1<<uint(top+1))
-		}
-	}
+	s.sub.walk(st, q,
+		func(int) bool { return taken < ix.subBudget },
+		func(c uint32) {
+			slo, shi := lo+st.start[c], lo+st.start[c+1]
+			if slo == shi {
+				return
+			}
+			s.take(ix.order[slo:shi])
+			taken += int(shi - slo)
+			s.visited = append(s.visited, slo, shi)
+		})
 	// Defer the unvisited remainder. Sub-buckets are contiguous spans of
 	// the parent segment, so the complement of the visited spans is a
 	// handful of gaps: sort the visited spans positionally (they arrived
@@ -733,11 +656,68 @@ func (ix *Index) gather(s *searcher, bucket uint32) {
 	}
 }
 
+// walker is one hash level's multi-probe scratch: a query's centered
+// projections, their margins, the bit positions by ascending margin and
+// the pending perturbation sets.
+type walker struct {
+	z, abs []float64
+	perm   []int
+	heap   probeHeap
+}
+
+// walk visits t's buckets in multi-probe order (Lv et al.): the query's
+// own bucket, then perturbation sets popped cheapest-first, each pop
+// seeding its shift and expand successors, so every non-empty set is
+// generated exactly once. It stops when more(probed) turns false after
+// probed buckets, or when every bucket is visited.
+func (w *walker) walk(t *table, q []float64, more func(probed int) bool, visit func(bucket uint32)) {
+	nbits := t.bits
+	w.z = resize(w.z, nbits)
+	w.abs = resize(w.abs, nbits)
+	code := t.project(q, w.z)
+	for j, v := range w.z {
+		w.abs[j] = math.Abs(v)
+	}
+	// Sort bit positions by ascending margin (ties by lower position):
+	// flipping a near-zero projection is the cheapest perturbation.
+	// Insertion sort — nbits ≤ MaxBits.
+	w.perm = resize(w.perm, nbits)
+	for j := range w.perm {
+		w.perm[j] = j
+	}
+	for i := 1; i < nbits; i++ {
+		p := w.perm[i]
+		j := i
+		for j > 0 && w.abs[p] < w.abs[w.perm[j-1]] {
+			w.perm[j] = w.perm[j-1]
+			j--
+		}
+		w.perm[j] = p
+	}
+	w.heap.reset()
+	visit(code)
+	w.heap.push(w.abs[w.perm[0]], 1)
+	total := 1 << nbits
+	for probed := 1; more(probed) && probed < total && w.heap.len() > 0; probed++ {
+		cost, mask := w.heap.pop()
+		var flip uint32
+		for m := mask; m != 0; m &= m - 1 {
+			flip |= 1 << uint(w.perm[bits.TrailingZeros32(m)])
+		}
+		visit(code ^ flip)
+		if top := bits.Len32(mask) - 1; top+1 < nbits {
+			mTop := w.abs[w.perm[top]]
+			mNext := w.abs[w.perm[top+1]]
+			w.heap.push(cost-mTop+mNext, mask&^(1<<uint(top))|1<<uint(top+1)) // shift
+			w.heap.push(cost+mNext, mask|1<<uint(top+1))                      // expand
+		}
+	}
+}
+
 // probeHeap is a binary min-heap of pending perturbation sets, ordered
 // by (cost, mask): cost is the summed margin of the flipped bits, the
 // mask identifies the set over margin-sorted positions and breaks cost
-// ties deterministically. The main probe loop and the sub-probe of a
-// re-hashed bucket each run one.
+// ties deterministically.
 type probeHeap struct {
 	c []float64
 	m []uint32
@@ -797,33 +777,9 @@ func probeLess(c1 float64, m1 uint32, c2 float64, m2 uint32) bool {
 	return m1 < m2
 }
 
-// dot is the sequential inner product — the exact association the dense
-// kernel uses per cell, so a re-ranked score equals the exact scan's
-// score of the same pair, and a query's code is bit-identical to the
-// batch projection of an equal fitted row.
-func dot(a, b []float64) float64 {
-	var s float64
-	for i, v := range a {
-		s += v * b[i]
-	}
-	return s
-}
-
-// dot4 returns the dot products of a with b0, b1, b2 and b3, each summed
-// in index order in its own accumulator, so each has dot's bits.
-func dot4(a, b0, b1, b2, b3 []float64) (s0, s1, s2, s3 float64) {
-	b0, b1, b2, b3 = b0[:len(a)], b1[:len(a)], b2[:len(a)], b3[:len(a)]
-	for i, v := range a {
-		s0 += v * b0[i]
-		s1 += v * b1[i]
-		s2 += v * b2[i]
-		s3 += v * b3[i]
-	}
-	return s0, s1, s2, s3
-}
-
-// dot4f32 is dot4 over f32-tier rows: every value widens to float64 and
-// each of the four sums accumulates in float64, in index order.
+// dot4f32 is dense.Dot4 over f32-tier rows: every value widens to
+// float64 and each of the four sums accumulates in float64, in index
+// order.
 func dot4f32(a, b0, b1, b2, b3 []float32) (s0, s1, s2, s3 float64) {
 	b0, b1, b2, b3 = b0[:len(a)], b1[:len(a)], b2[:len(a)], b3[:len(a)]
 	for i, v := range a {
@@ -836,16 +792,13 @@ func dot4f32(a, b0, b1, b2, b3 []float32) (s0, s1, s2, s3 float64) {
 	return s0, s1, s2, s3
 }
 
-// dot32 is the mixed-precision inner product of the f32 tier's hashing
-// side: half-width row values against float64 hyperplanes, accumulated
-// in float64 — bit-identical to dense.MulBTMixed32Into's per-cell
-// association.
-func dot32(a []float32, b []float64) float64 {
-	var s float64
-	for i, v := range a {
-		s += float64(v) * b[i]
+// widen returns src converted to float64 in dst's storage.
+func widen(dst []float64, src []float32) []float64 {
+	dst = resize(dst, len(src))
+	for j, v := range src {
+		dst[j] = float64(v)
 	}
-	return s
+	return dst
 }
 
 // resize returns a slice of exactly n elements, reusing capacity.

@@ -126,19 +126,47 @@ func TestExactScanPinnedBits(t *testing.T) {
 // TestHashedFullGatherMatchesBruteForce: with k = n the hashed path must
 // keep probing until the pool covers every row, so the multi-probe
 // enumeration exercises every bucket and the output equals brute force —
-// a structural test of the CSR buckets and the probe sequence.
+// a structural test of the CSR buckets and the probe sequence. On the
+// collapse-skewed input (skewPair) the index re-hashes oversized buckets,
+// so the full gather also walks every second-level table and drains
+// every deferred row. Both tiers run each input; the f32 tier is held to
+// its own exact scan, a zero-bits index.
 func TestHashedFullGatherMatchesBruteForce(t *testing.T) {
-	data := randRows(120, 5, 3)
-	queries := randRows(30, 5, 4)
-	ix := New(Params{Bits: 5, Probes: 1, Seed: 9})
-	if ix.Params().Exact() {
-		t.Fatal("1 probe of 32 buckets must be approximate")
-	}
-	ix.Fit(data, 1)
-	got := ix.TopK(queries, data.Rows, 1)
-	want := bruteTopK(queries, data, data.Rows)
-	if !reflect.DeepEqual(got.Idx, want.Idx) || !reflect.DeepEqual(got.Score, want.Score) {
-		t.Fatal("k = n forces a full gather; result must equal brute force")
+	skewData, skewQueries := skewPair(1000, 40, 16, 4, 0.2, 51)
+	for _, tc := range []struct {
+		name          string
+		data, queries *dense.Matrix
+		p             Params
+		rehashed      bool
+	}{
+		{"uniform", randRows(120, 5, 3), randRows(30, 5, 4), Params{Bits: 5, Probes: 1, Seed: 9}, false},
+		{"re-hashed", skewData, skewQueries, Params{Bits: 7, Probes: 1, Seed: 19}, true},
+	} {
+		n := tc.data.Rows
+		ix := New(tc.p)
+		if ix.Params().Exact() {
+			t.Fatalf("%s: 1 probe of %d buckets must be approximate", tc.name, 1<<tc.p.Bits)
+		}
+		ix.Fit(tc.data, 1)
+		got := ix.TopK(tc.queries, n, 1)
+		want := bruteTopK(tc.queries, tc.data, n)
+		if !reflect.DeepEqual(got.Idx, want.Idx) || !reflect.DeepEqual(got.Score, want.Score) {
+			t.Fatalf("%s f64: k = n forces a full gather; result must equal brute force", tc.name)
+		}
+		data32, queries32 := to32(tc.data), to32(tc.queries)
+		ix32 := New(tc.p)
+		ix32.Fit32(data32, 1)
+		got32 := ix32.TopK32(queries32, n, 1)
+		exact := New(Params{})
+		exact.Fit32(data32, 1)
+		if want32 := exact.TopK32(queries32, n, 1); !reflect.DeepEqual(got32, want32) {
+			t.Fatalf("%s f32: k = n forces a full gather; result must equal the exact scan", tc.name)
+		}
+		for tier, st := range map[string]Stats{"f64": ix.Stats(), "f32": ix32.Stats()} {
+			if (st.Rehashed > 0) != tc.rehashed {
+				t.Fatalf("%s %s: %d buckets re-hashed, want re-hashing %v", tc.name, tier, st.Rehashed, tc.rehashed)
+			}
+		}
 	}
 }
 

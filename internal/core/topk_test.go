@@ -2,6 +2,9 @@ package core
 
 import (
 	"errors"
+	"fmt"
+	"math"
+	"reflect"
 	"testing"
 
 	"github.com/htc-align/htc/internal/align"
@@ -9,117 +12,101 @@ import (
 	"github.com/htc-align/htc/internal/metrics"
 )
 
-// TestAlignTopKEquivalence is the pipeline-level proof of the backend
-// abstraction: a full run under the top-k backend with k = n must be
-// bit-identical to the dense run — same per-orbit trusted counts and
-// weights, same final scores on every pair, same predictions, matching
-// and evaluation.
-func TestAlignTopKEquivalence(t *testing.T) {
-	n := 40
-	gs, gt, truth := noisyPair(n, 0.1, 3)
-
-	cfg := quickConfig(Full)
-	denseRes, err := Align(gs, gt, cfg)
+// TestBackendEquivalence is the pipeline-level proof of the backend
+// abstraction, with and without RefiNA refinement: on one prepared Econ
+// pair (120 nodes against a 10%-edge-removed copy), every variant at
+// refine_iters 0 and 3 runs on the dense backend, on topk at k = n and on
+// ann at full probe (the exactness escape hatch), and each candidate-list
+// run must equal the dense one — the same per-orbit trusted counts,
+// weights and iterations, every cell's bits, Predict, each row's Scan
+// order (the dense Scan's stable best-first sort), greedy matching,
+// evaluation and the MNC trace. Column normalisation reorders a refined
+// row, so a candidate path that skipped its final best-first sort would
+// still match every cell while Scan and Predict disagree with dense.
+func TestBackendEquivalence(t *testing.T) {
+	const n = 120
+	gs := datasets.Econ(n, 1)
+	gt, truth := datasets.MakeTarget(gs, 0.1, 1)
+	p, err := Prepare(gs, gt)
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	topkCfg := cfg
-	topkCfg.Similarity = SimTopK
-	topkCfg.CandidateK = n
-	topkRes, err := Align(gs, gt, topkCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	if denseRes.SimBackend != "dense" || topkRes.SimBackend != "topk" {
-		t.Fatalf("backends %q / %q", denseRes.SimBackend, topkRes.SimBackend)
-	}
-	if topkRes.CandidateK != n {
-		t.Fatalf("candidate k = %d, want %d", topkRes.CandidateK, n)
-	}
-	if _, ok := topkRes.Sim.(*align.TopKSim); !ok {
-		t.Fatal("top-k run must hold its scores as a candidate list, not a dense matrix")
-	}
-	if denseRes.Sim == nil {
-		t.Fatal("dense result representation missing")
-	}
-
-	for i := range denseRes.PerOrbit {
-		d, s := denseRes.PerOrbit[i], topkRes.PerOrbit[i]
-		if d.Trusted != s.Trusted || d.Gamma != s.Gamma || d.Iters != s.Iters {
-			t.Fatalf("orbit %d: dense %+v vs topk %+v", i, d, s)
+	for _, v := range Variants() {
+		for _, refine := range []int{0, 3} {
+			base := Config{Variant: v, Hidden: 32, Embed: 16, Epochs: 10, MaxFineTuneIters: 5, RefineIters: refine, Seed: 1}
+			t.Run(fmt.Sprintf("%v/refine=%d", v, refine), func(t *testing.T) {
+				want, err := p.Align(base)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if want.SimBackend != "dense" {
+					t.Fatalf("base run resolved %q, want dense", want.SimBackend)
+				}
+				wm := want.Sim.Dense()
+				wantScan := scanRows(want.Sim)
+				wantRep := metrics.Evaluate(wm, truth, 1, 5, 10)
+				for _, b := range []struct {
+					name   string
+					sim    SimBackend
+					bits   int
+					probes int
+				}{{"topk", SimTopK, 0, 0}, {"ann", SimANN, 4, 16}} {
+					t.Run(b.name, func(t *testing.T) {
+						cfg := base
+						cfg.Similarity, cfg.CandidateK, cfg.AnnBits, cfg.AnnProbes = b.sim, n, b.bits, b.probes
+						got, err := p.Align(cfg)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if got.SimBackend != b.name {
+							t.Fatalf("run resolved %q", got.SimBackend)
+						}
+						if !reflect.DeepEqual(want.PerOrbit, got.PerOrbit) {
+							t.Fatalf("per-orbit outcomes:\ndense %+v\ngot   %+v", want.PerOrbit, got.PerOrbit)
+						}
+						for i := 0; i < n; i++ {
+							for j := 0; j < n; j++ {
+								g, ok := got.Sim.At(i, j)
+								if w := wm.At(i, j); !ok || math.Float64bits(g) != math.Float64bits(w) {
+									t.Fatalf("score (%d,%d): dense %v, got %v (ok=%v)", i, j, w, g, ok)
+								}
+							}
+						}
+						if !reflect.DeepEqual(want.Predict(), got.Predict()) {
+							t.Fatal("Predict differs from dense")
+						}
+						gotScan := scanRows(got.Sim)
+						for i := range wantScan {
+							if !reflect.DeepEqual(wantScan[i], gotScan[i]) {
+								t.Fatalf("row %d: Scan order differs from dense", i)
+							}
+						}
+						if !reflect.DeepEqual(align.GreedyMatch(wm), got.MatchOneToOne()) {
+							t.Fatal("greedy matching differs from dense")
+						}
+						if rep := metrics.EvaluateSim(got.Sim, truth, 1, 5, 10); !reflect.DeepEqual(wantRep, rep) {
+							t.Fatalf("evaluation: dense %v, got %v", wantRep, rep)
+						}
+						if !reflect.DeepEqual(want.RefineMNC, got.RefineMNC) {
+							t.Fatalf("MNC trace: dense %v, got %v", want.RefineMNC, got.RefineMNC)
+						}
+					})
+				}
+			})
 		}
-	}
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			want := denseRes.Sim.Dense().At(i, j)
-			got, ok := topkRes.Sim.At(i, j)
-			if !ok || got != want {
-				t.Fatalf("score (%d,%d): dense %v, topk %v (ok=%v)", i, j, want, got, ok)
-			}
-		}
-	}
-	dp, tp := denseRes.Predict(), topkRes.Predict()
-	for i := range dp {
-		if dp[i] != tp[i] {
-			t.Fatalf("predict[%d]: dense %d, topk %d", i, dp[i], tp[i])
-		}
-	}
-	dm := align.GreedyMatch(denseRes.Sim.Dense())
-	tm := topkRes.MatchOneToOne()
-	for i := range dm {
-		if dm[i] != tm[i] {
-			t.Fatalf("match[%d]: dense-greedy %d, topk %d", i, dm[i], tm[i])
-		}
-	}
-	dRep := metrics.Evaluate(denseRes.Sim.Dense(), truth, 1, 5, 10)
-	tRep := metrics.EvaluateSim(topkRes.Sim, truth, 1, 5, 10)
-	if dRep.MRR != tRep.MRR || dRep.PrecisionAt[1] != tRep.PrecisionAt[1] || dRep.PrecisionAt[10] != tRep.PrecisionAt[10] {
-		t.Fatalf("evaluation: dense %v vs topk %v", dRep, tRep)
 	}
 }
 
-// TestRefinedTopKRowsBestFirst extends the k = n equivalence through
-// RefiNA refinement on an Econ pair: the refined candidate rows must
-// hold the dense scores bit for bit and keep the best-first order that
-// TopKSim's Scan promises and Predict reads its heads from. Column
-// normalisation reorders a row, so without re-sorting every cell still
-// matches while Scan visits rows out of order and Predict disagrees with
-// dense.
-func TestRefinedTopKRowsBestFirst(t *testing.T) {
-	n := 120
-	gs := datasets.Econ(n, 1)
-	gt, _ := datasets.MakeTarget(gs, 0.1, 1)
-	cfg := Config{Variant: LowOrderFT, Hidden: 32, Embed: 16, Epochs: 10, MaxFineTuneIters: 5, RefineIters: 3, Seed: 1}
-	denseRes, err := Align(gs, gt, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.Similarity, cfg.CandidateK = SimTopK, n
-	topkRes, err := Align(gs, gt, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dm := denseRes.Sim.Dense()
-	for i := 0; i < n; i++ {
-		prev, prevScore := -1, 0.0
-		topkRes.Sim.Scan(i, func(j int, v float64) {
-			if v != dm.At(i, j) {
-				t.Fatalf("score (%d,%d): dense %v, topk %v", i, j, dm.At(i, j), v)
-			}
-			if prev >= 0 && (v > prevScore || v == prevScore && j < prev) {
-				t.Fatalf("row %d: Scan visits (%d, %v) after (%d, %v)", i, j, v, prev, prevScore)
-			}
-			prev, prevScore = j, v
+// scanRows records every row's Scan: (column, score bits) in visit order.
+func scanRows(s align.Sim) [][][2]uint64 {
+	rows, _ := s.Dims()
+	out := make([][][2]uint64, rows)
+	for i := range out {
+		s.Scan(i, func(j int, v float64) {
+			out[i] = append(out[i], [2]uint64{uint64(j), math.Float64bits(v)})
 		})
 	}
-	dp, tp := denseRes.Predict(), topkRes.Predict()
-	for i := range dp {
-		if dp[i] != tp[i] {
-			t.Fatalf("predict[%d]: dense %d, topk %d", i, dp[i], tp[i])
-		}
-	}
+	return out
 }
 
 // TestAlignTopKBounded runs the top-k backend with a small k on a pair

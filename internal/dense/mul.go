@@ -138,20 +138,21 @@ func MulBTInto(c, a, b *Matrix, workers int) {
 				ci := c.Data[i*c.Cols : i*c.Cols+c.Cols]
 				j := jt
 				for ; j+4 <= jEnd; j += 4 {
-					ci[j], ci[j+1], ci[j+2], ci[j+3] = dot4(ai,
+					ci[j], ci[j+1], ci[j+2], ci[j+3] = Dot4(ai,
 						b.Data[j*k:j*k+k], b.Data[(j+1)*k:(j+1)*k+k],
 						b.Data[(j+2)*k:(j+2)*k+k], b.Data[(j+3)*k:(j+3)*k+k])
 				}
 				for ; j < jEnd; j++ {
-					ci[j] = dot(ai, b.Data[j*k:j*k+k])
+					ci[j] = Dot(ai, b.Data[j*k:j*k+k])
 				}
 			}
 		}
 	})
 }
 
-// dot returns Σ a[l]·b[l], summed in l order.
-func dot(a, b []float64) float64 {
+// Dot returns Σ a[l]·b[l], summed in l order: the bits of every cell of
+// MulBTInto.
+func Dot(a, b []float64) float64 {
 	b = b[:len(a)]
 	var s float64
 	for l, av := range a {
@@ -160,9 +161,9 @@ func dot(a, b []float64) float64 {
 	return s
 }
 
-// dot4 returns the dot products of a with b0, b1, b2 and b3, each summed
-// in l order in its own accumulator.
-func dot4(a, b0, b1, b2, b3 []float64) (s0, s1, s2, s3 float64) {
+// Dot4 returns the dot products of a with b0, b1, b2 and b3, each summed
+// in l order in its own accumulator, so each has Dot's bits.
+func Dot4(a, b0, b1, b2, b3 []float64) (s0, s1, s2, s3 float64) {
 	b0, b1, b2, b3 = b0[:len(a)], b1[:len(a)], b2[:len(a)], b3[:len(a)]
 	for l, av := range a {
 		s0 += av * b0[l]

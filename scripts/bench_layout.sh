@@ -19,7 +19,11 @@ tmp=$(mktemp -d)
 trap 'chmod -R u+w "$tmp"; rm -rf "$tmp"' EXIT
 mkdir -p "$tmp/a" "$tmp/b" "$tmp/tmp"
 git -C "$root" archive "$1" | tar -x -C "$tmp/a"
-git -C "$root" ls-files -co --exclude-standard | tar -C "$root" -c -T - | tar -x -C "$tmp/b"
+# The worktree as it stands: tracked and untracked files, less tracked
+# files deleted from the worktree, which ls-files still lists.
+(cd "$root" && git ls-files -co --exclude-standard | while IFS= read -r f; do
+	if [ -e "$f" ]; then printf '%s\n' "$f"; fi
+done) | tar -C "$root" -c -T - | tar -x -C "$tmp/b"
 
 # The environment bench/run.sh builds with.
 export GOCACHE="$tmp/gocache" GOPATH="$tmp/gopath" GOTMPDIR="$tmp/tmp" XDG_CONFIG_HOME="$tmp/config"
