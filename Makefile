@@ -26,8 +26,9 @@ test:
 # the blocked scan the `topk` backend runs, and that scan's bit-exact
 # tests live in this suite, so the target gates the `topk` backend too.
 # TestRerankBitIdenticalToReference holds the hashed path's four-row
-# re-rank to the one-term loop's bits on both precision tiers,
-# TestRehashPinnedBits pins the walk through re-hashed buckets, and
+# re-rank to the one-term loop's bits on both precision tiers (the f32
+# tier rounds each of those scores to float32), TestRehashPinnedBits
+# pins the walk through re-hashed buckets, and
 # TestHashedFullGatherMatchesBruteForce drives the one multi-probe
 # walker, on both levels and both tiers, through every row at k = n.
 test-ann:

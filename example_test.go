@@ -226,13 +226,12 @@ func ExampleAlign_ann() {
 }
 
 // ExampleAlign_f32 demonstrates the float32 compute tier:
-// Config.Precision = PrecisionF32 runs the candidate-generation kernels
-// of the fine-tune loop on half-width embedding copies (float64
-// accumulators keep rankings stable), roughly halving similarity memory
-// traffic. Training always stays float64, and the tier requires a
-// candidate backend — the dense path has no float32 tier. Left on
-// PrecisionAuto, the tier flips to f32 automatically on pairs large
-// enough to select the ANN backend.
+// Config.Precision = PrecisionF32 rounds the fine-tune loop's candidate
+// generation to float32 — the embedding copies and every score — while
+// accumulating in float64, so rankings stay stable. Training always
+// stays float64, and the tier requires a candidate backend — the dense
+// path has no float32 tier. Left on PrecisionAuto, the tier flips to f32
+// automatically on pairs large enough to select the ANN backend.
 func ExampleAlign_f32() {
 	b := htc.NewBuilder(6)
 	for _, e := range [][2]int{{0, 1}, {1, 2}, {0, 2}, {3, 4}, {4, 5}, {3, 5}, {2, 3}} {

@@ -146,14 +146,15 @@ type Precision = core.Precision
 const (
 	// PrecisionAuto (the default) keeps float64 on small pairs and flips
 	// to float32 past the same size threshold that selects the ANN
-	// backend, where memory traffic dominates.
+	// backend.
 	PrecisionAuto = core.PrecisionAuto
 	// PrecisionF64 forces the exact float64 tier everywhere.
 	PrecisionF64 = core.PrecisionF64
-	// PrecisionF32 runs the candidate-generation kernels on float32
-	// storage with float64 accumulators — roughly half the similarity
-	// memory traffic. Requires a candidate backend (topk or ann): the
-	// dense backend has no float32 tier.
+	// PrecisionF32 rounds the candidate backends' embedding copies and
+	// scores to float32, held in float64 storage: the same results as
+	// float32 storage with float64 accumulators, and no memory saving.
+	// Requires a candidate backend (topk or ann): the dense backend has
+	// no float32 tier.
 	PrecisionF32 = core.PrecisionF32
 )
 

@@ -285,12 +285,14 @@ func TestTiedScoresAgreeAcrossBackends(t *testing.T) {
 	}
 	hs := randomEmbeddings(10, d, rng)
 	p := ann.Params{Bits: 4, Probes: 1 << 4, Seed: 1}
+	p32 := p
+	p32.F32 = true
 	for _, k := range []int{3, 7, 12, 40} {
 		var ts annScratch
-		var ts32 annScratch32
+		ts32 := annScratch{p: ann.Params{F32: true}}
 		tiers := [][2]*Candidates{
 			{ts.topK(hs, ht, k, 2), (&annScratch{p: p}).topK(hs, ht, k, 2)},
-			{ts32.topK(hs, ht, k, 2), (&annScratch32{p: p}).topK(hs, ht, k, 2)},
+			{ts32.topK(hs, ht, k, 2), (&annScratch{p: p32}).topK(hs, ht, k, 2)},
 		}
 		for tier, c := range tiers {
 			if !reflect.DeepEqual(c[0], c[1]) {

@@ -19,12 +19,22 @@ func TestF32FullProbeANNMatchesTopK32(t *testing.T) {
 			if k > n {
 				k = n
 			}
-			var ts annScratch32
+			ts := annScratch{p: ann.Params{F32: true}}
 			exact := ts.topK(hs, ht, k, 2)
-			as := &annScratch32{p: ann.Params{Bits: 4, Probes: 1 << 4, Seed: seed}}
+			as := &annScratch{p: ann.Params{Bits: 4, Probes: 1 << 4, Seed: seed, F32: true}}
 			hatch := as.topK(hs, ht, k, 2)
 			if !reflect.DeepEqual(exact, hatch) {
 				t.Fatalf("n=%d seed=%d: full-probe f32 ANN deviates from f32 top-k", n, seed)
+			}
+			// The tier's contract: every score is a float32 value.
+			for _, c := range []*Candidates{exact, hatch} {
+				for i, row := range c.Score {
+					for q, s := range row {
+						if float64(float32(s)) != s {
+							t.Fatalf("n=%d seed=%d row %d slot %d: score %v is not a float32 value", n, seed, i, q, s)
+						}
+					}
+				}
 			}
 		}
 	}
@@ -43,9 +53,9 @@ func TestANNRecallPropertyF32(t *testing.T) {
 			hs, ht := embeddingPair(tc.ns, tc.nt, 8, seed)
 			k := 32
 			bits := ann.AutoBits(tc.nt)
-			var ts annScratch32
+			ts := annScratch{p: ann.Params{F32: true}}
 			exact := ts.topK(hs, ht, k, 0)
-			as := &annScratch32{p: ann.Params{Bits: bits, Probes: ann.AutoProbes(bits), Seed: seed}}
+			as := &annScratch{p: ann.Params{Bits: bits, Probes: ann.AutoProbes(bits), Seed: seed, F32: true}}
 			approx := as.topK(hs, ht, k, 0)
 			rec := candidateRecall(approx, exact)
 			if rec < worst {
@@ -70,7 +80,7 @@ func TestTopK32RecallVsF64(t *testing.T) {
 			hs, ht := embeddingPair(n, n, 8, seed)
 			k := 16
 			var f64s annScratch
-			var f32s annScratch32
+			f32s := annScratch{p: ann.Params{F32: true}}
 			exact := f64s.topK(hs, ht, k, 2)
 			half := f32s.topK(hs, ht, k, 2)
 			if rec := candidateRecall(half, exact); rec < 0.95 {
@@ -87,7 +97,7 @@ func TestFineTuneF32Runs(t *testing.T) {
 	gs, gt, _ := buildAlignedPair(30, 21)
 	enc, src, tgt := trainEncoder(gs, gt, 2, 22)
 
-	base := FineTuneConfig{M: 5, Beta: 1.1, MaxIters: 4, TopK: 10, Workers: 2, F32: true}
+	base := FineTuneConfig{M: 5, Beta: 1.1, MaxIters: 4, TopK: 10, Workers: 2, Ann: ann.Params{F32: true}}
 	res := FineTune(enc, src.Laps[0], tgt.Laps[0], src.X, tgt.X, base)
 	if res.Sim == nil || res.Trusted < 0 {
 		t.Fatalf("f32 top-k loop produced no result: %+v", res)
@@ -97,7 +107,7 @@ func TestFineTuneF32Runs(t *testing.T) {
 	}
 
 	annCfg := base
-	annCfg.Ann = ann.Params{Bits: 4, Probes: 1 << 4, Seed: 1}
+	annCfg.Ann = ann.Params{Bits: 4, Probes: 1 << 4, Seed: 1, F32: true}
 	annRes := FineTune(enc, src.Laps[0], tgt.Laps[0], src.X, tgt.X, annCfg)
 	if annRes.Sim == nil {
 		t.Fatal("f32 ANN loop produced no Sim")

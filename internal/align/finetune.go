@@ -43,17 +43,12 @@ type FineTuneConfig struct {
 	// Everything downstream — hubness, LISI, trusted pairs, integration —
 	// runs unchanged on the candidate lists, and with Probes ≥ 2^Bits
 	// the index runs the exact scan of zero Params. Index statistics are
-	// reported only when Bits are positive.
-	Ann ann.Params
-	// F32 runs the candidate index on the float32 compute tier: each
-	// iteration's embeddings are converted once (fused with the
-	// center/normalize pass) into half-width copies, and the exact scan,
-	// hashing and re-rank read float32 values with float64 accumulators.
-	// Candidate scores widen monotonically back to float64, so the loop
-	// body is tier-independent. Only meaningful with TopK ≥ 1 — the
-	// dense backend has no float32 tier (core validation rejects the
+	// reported only when Bits are positive. Ann.F32 selects the float32
+	// precision tier: each iteration's centered, normalised embedding
+	// copies are rounded to float32, and so is every candidate score.
+	// The dense backend has no float32 tier (core validation rejects the
 	// combination before it gets here).
-	F32 bool
+	Ann ann.Params
 	// KeepEmbeddings snapshots the best iteration's Hs/Ht into the
 	// result. Off by default: the copies are two n×d matrices per
 	// improving iteration, and most callers only want M.
@@ -166,10 +161,7 @@ func FineTune(enc *nn.Encoder, lapS, lapT *sparse.CSR, xs, xt *dense.Matrix, cfg
 		// positive bits. Both emit the same structure under the same
 		// ordering contract, so the loop body below serves either.
 		var lisi candLISI
-		var fwdGen, bwdGen candScratch = &annScratch{p: cfg.Ann}, &annScratch{p: cfg.Ann}
-		if cfg.F32 {
-			fwdGen, bwdGen = &annScratch32{p: cfg.Ann}, &annScratch32{p: cfg.Ann}
-		}
+		fwdGen, bwdGen := &annScratch{p: cfg.Ann}, &annScratch{p: cfg.Ann}
 		if cfg.Ann.Bits > 0 {
 			defer func() {
 				st := fwdGen.stats()

@@ -20,16 +20,18 @@ import (
 )
 
 // simScratch holds the similarity working set of one fine-tuning loop: the
-// centered embedding copies, the ns×nt correlation and LISI matrices and
-// the nt×ns transposed view. Algorithm 2 recomputes all of them every
-// iteration; keeping them in one reusable bundle turns ~6 large
-// allocations per iteration into zero after the first.
+// centered embedding copies, the ns×nt correlation and LISI matrices, the
+// nt×ns transposed view and each worker's hubness selector. Algorithm 2
+// recomputes all of them every iteration; keeping them in one reusable
+// bundle turns ~6 large allocations per iteration into zero after the
+// first.
 type simScratch struct {
 	a, b   *dense.Matrix // centered + row-normalised embedding copies
 	corr   *dense.Matrix // ns×nt Pearson similarity
 	corrT  *dense.Matrix // nt×ns transposed similarity (column-scan buffer)
 	lisi   *dense.Matrix // ns×nt LISI
 	dt, ds []float64     // hubness degrees
+	top    []topScratch  // per-worker topMean scratch
 }
 
 func ensureVec(v []float64, n int) []float64 {
@@ -93,27 +95,28 @@ type topScratch struct {
 // neighbours) and Ds (per target node, symmetric). Ds needs the columns
 // of corr, which a strided gather would read one cache line per entry;
 // the matrix is transposed once with the cache-blocked TransposeInto
-// instead, so Ds is a sequential row scan like Dt.
+// instead, so Ds is a sequential row scan like Dt. Each row is one
+// worker's alone, so every degree has the same bits for every worker
+// count.
 func (s *simScratch) hubness(corr *dense.Matrix, m, workers int) (dt, ds []float64) {
 	s.dt = ensureVec(s.dt, corr.Rows)
 	s.ds = ensureVec(s.ds, corr.Cols)
 	s.corrT = dense.Ensure(s.corrT, corr.Cols, corr.Rows)
 	dense.TransposeInto(s.corrT, corr)
-	dt, ds = s.dt, s.ds
-	par.For(workers, corr.Rows, corr.Cols, func(start, end int) {
-		var ts topScratch
-		for i := start; i < end; i++ {
-			dt[i] = topMean(corr.Row(i), m, &ts)
-		}
+	if w := par.Resolve(workers); len(s.top) < w {
+		s.top = make([]topScratch, w)
+	}
+	s.degrees(s.dt, corr, m, workers)
+	s.degrees(s.ds, s.corrT, m, workers)
+	return s.dt, s.ds
+}
+
+// degrees sets d[i] to the mean of the m largest entries of row i of c,
+// through the worker's own topScratch, kept across calls.
+func (s *simScratch) degrees(d []float64, c *dense.Matrix, m, workers int) {
+	par.Sharded(workers, c.Rows, func(w, i int) {
+		d[i] = topMean(c.Row(i), m, &s.top[w])
 	})
-	corrT := s.corrT
-	par.For(workers, corrT.Rows, corrT.Cols, func(start, end int) {
-		var ts topScratch
-		for j := start; j < end; j++ {
-			ds[j] = topMean(corrT.Row(j), m, &ts)
-		}
-	})
-	return dt, ds
 }
 
 // lisiInto computes the locally isolated similarity index of Eq. 11,

@@ -19,9 +19,14 @@
 // per-query pool cap can bound the gathered candidate pool in
 // margin-probe order. Params.Unbalanced restores the raw SRP index for
 // A/B comparison. Both hash levels are one table type, drawn by one
-// newTable, filled by one bucketSort and probed by one walker; the
-// float32 tier hashes its rows and queries widened to float64, which is
-// exact, so it shares every hashing step but the batch projection.
+// newTable, filled by one bucketSort and probed by one walker.
+//
+// The float32 precision tier (Params.F32) is a rounding rule on the one
+// float64 path: the caller rounds the rows and queries it hands in to
+// float32, and the index rounds every score of the exact scan and the
+// re-rank to float32 before it selects, so a score holds the bits it
+// would have as a float64-accumulated dot product of float32 values
+// stored as float32.
 //
 // Refitting a same-shaped matrix into an index (the fine-tuning loop)
 // keeps the planes and whitening frozen at the first Fit and recodes
@@ -55,8 +60,9 @@ import (
 // paying for before the table dominates the candidate structures.
 const MaxBits = 20
 
-// Params fix an index's geometry. The align/core layers resolve zero
-// values to AutoBits/AutoProbes before building an index.
+// Params fix an index's geometry and score precision. The align/core
+// layers resolve zero values to AutoBits/AutoProbes before building an
+// index.
 type Params struct {
 	// Bits is the code width b ∈ [0, MaxBits]: rows hash into 2^b
 	// buckets by the sign pattern of b random projections. Zero bits
@@ -78,6 +84,11 @@ type Params struct {
 	// buckets — restoring the raw SRP index. Kept as the A/B baseline
 	// for the skew benchmarks; leave it false in production.
 	Unbalanced bool
+	// F32 selects the float32 precision tier: every exact-scan and
+	// re-rank score is rounded to float32 before the k best are kept.
+	// Rows and queries are expected to hold float32 values already; the
+	// hashing reads them as they are.
+	F32 bool
 	// Seed drives the hyperplane draw; equal seeds give identical
 	// indexes.
 	Seed int64
@@ -121,10 +132,9 @@ type Result struct {
 // reusable across Fit calls (a fine-tuning loop re-fits each iteration's
 // embeddings into the same scratch) but not concurrently usable.
 type Index struct {
-	p      Params
-	data   *dense.Matrix   // fitted rows (borrowed, not copied); nil on the f32 tier
-	data32 *dense.Matrix32 // fitted rows of the f32 tier; exactly one of data/data32 is set
-	n, d   int
+	p    Params
+	data *dense.Matrix // fitted rows (borrowed, not copied)
+	n, d int
 
 	top    table         // first-level table, its offsets over the whole order array
 	xform  *dense.Matrix // d×d whitening transform T (nil when Unbalanced)
@@ -134,7 +144,6 @@ type Index struct {
 	tmp    []int32       // bucket-sort output scratch of a re-hashed segment
 	cursor []int32       // counting-sort scratch
 	mean   []float64     // a re-hashed bucket's row mean
-	wide   []float64     // a fitted f32-tier row widened to float64
 
 	subs      []table // second-level tables of re-hashed oversized buckets
 	subOf     []int32 // per bucket: index into subs, or -1
@@ -192,23 +201,9 @@ func (ix *Index) Stats() Stats {
 // later Fit of a same-shaped matrix keeps that geometry and recodes
 // every row through it; a shape change draws it again.
 func (ix *Index) Fit(data *dense.Matrix, workers int) {
-	ix.data, ix.data32 = data, nil
+	ix.data = data
 	if ix.begin(data.Rows, data.Cols) {
 		dense.MulBTInto(ix.proj, data, ix.top.planes, workers)
-		ix.encode(workers)
-	}
-}
-
-// Fit32 is Fit for the float32 compute tier: the same frozen geometry
-// over half-width rows. The batch projection accumulates in float64
-// (dense.MulBTMixed32Into), and every other hashing step reads rows
-// widened to float64, which is exact, so codes are exactly as
-// deterministic as the float64 tier's. An index fitted with Fit32
-// answers queries through TopK32.
-func (ix *Index) Fit32(data *dense.Matrix32, workers int) {
-	ix.data, ix.data32 = nil, data
-	if ix.begin(data.Rows, data.Cols) {
-		dense.MulBTMixed32Into(ix.proj, data, ix.top.planes, workers)
 		ix.encode(workers)
 	}
 }
@@ -230,17 +225,6 @@ func (ix *Index) begin(n, d int) bool {
 	}
 	ix.proj = dense.Ensure(ix.proj, n, ix.p.Bits)
 	return true
-}
-
-// row returns fitted row i in float64: the row itself on the float64
-// tier, widened (exactly) into a reused buffer on the float32 tier, so
-// every hashing step past the batch projection runs one float64 code.
-func (ix *Index) row(i int) []float64 {
-	if ix.data32 != nil {
-		ix.wide = widen(ix.wide, ix.data32.Row(i))
-		return ix.wide
-	}
-	return ix.data.Row(i)
 }
 
 // newTable draws one hash level of bits planes from seed, whitened
@@ -364,45 +348,10 @@ func exactBlockRows(n int) int {
 // entries — queries keep probing past the Probes floor until their pool
 // reaches k. Results are bit-identical for every worker count.
 func (ix *Index) TopK(queries *dense.Matrix, k, workers int) *Result {
-	return ix.topk(queries.Rows, k, workers, func(s *searcher, lo, hi int, out *Result) {
-		if ix.p.Exact() {
-			ix.scan(s, queries, nil, lo, hi, out)
-			return
-		}
-		for r := lo; r < hi; r++ {
-			ix.search(s, queries.Row(r), nil, out.K, out.Idx[r], out.Score[r])
-		}
-	})
-}
-
-// TopK32 answers batched queries on the float32 tier, against an index
-// fitted with Fit32. A query hashes and walks the buckets widened to
-// float64, which is exact, so it probes as the float64 tier's code does;
-// only the re-rank and the exact scan read half-width values, each with
-// a float64 accumulator. Scores round to float32 before the final widen
-// — the store semantics of dense.MulBTInto32, which scores the exact
-// path — so the re-rank and the exact scan rank equal rows alike.
-func (ix *Index) TopK32(queries *dense.Matrix32, k, workers int) *Result {
-	return ix.topk(queries.Rows, k, workers, func(s *searcher, lo, hi int, out *Result) {
-		if ix.p.Exact() {
-			ix.scan(s, nil, queries, lo, hi, out)
-			return
-		}
-		for r := lo; r < hi; r++ {
-			q32 := queries.Row(r)
-			s.wide = widen(s.wide, q32)
-			ix.search(s, s.wide, q32, out.K, out.Idx[r], out.Score[r])
-		}
-	})
-}
-
-// topk is the tier-agnostic batching wrapper behind TopK/TopK32: result
-// allocation, pool-cap resolution, worker scratch, block sharding and
-// the deterministic stats fold. answer fills queries lo..hi-1 of out.
-func (ix *Index) topk(nq, k, workers int, answer func(s *searcher, lo, hi int, out *Result)) *Result {
 	if k < 1 {
 		panic(fmt.Sprintf("ann: TopK k = %d < 1", k))
 	}
+	nq := queries.Rows
 	k = min(k, ix.n)
 	out := &Result{
 		K:     k,
@@ -437,8 +386,16 @@ func (ix *Index) topk(nq, k, workers int, answer func(s *searcher, lo, hi int, o
 		s.queries, s.poolRows, s.maxPool = 0, 0, 0
 	}
 	par.Sharded(w, nBlocks, func(worker, blk int) {
+		s := &ix.workers[worker]
 		lo := blk * blockRows
-		answer(&ix.workers[worker], lo, min(lo+blockRows, len(out.Idx)), out)
+		hi := min(lo+blockRows, nq)
+		if ix.p.Exact() {
+			ix.scan(s, queries, lo, hi, out)
+			return
+		}
+		for r := lo; r < hi; r++ {
+			ix.search(s, queries.Row(r), k, out.Idx[r], out.Score[r])
+		}
 	})
 	// Fold the per-worker counters into the index stats. Integer sums
 	// are order-independent, so the totals are deterministic for every
@@ -456,23 +413,16 @@ func (ix *Index) topk(nq, k, workers int, answer func(s *searcher, lo, hi int, o
 
 // scan answers queries lo..hi-1 on the exact path: one dense product
 // scores the block against every fitted row — each score a sequential
-// dot product in column order, rounded to float32 on store on the f32
-// tier — and each query keeps its k best, counting every fitted row as
-// its pool. Exactly one of q/q32 is non-nil and selects the tier.
-func (ix *Index) scan(s *searcher, q *dense.Matrix, q32 *dense.Matrix32, lo, hi int, out *Result) {
-	rows, n := hi-lo, ix.n
-	if q != nil {
-		d := q.Cols
-		s.scores = resize(s.scores, rows*n)
-		dense.MulBTInto(&dense.Matrix{Rows: rows, Cols: n, Data: s.scores},
-			&dense.Matrix{Rows: rows, Cols: d, Data: q.Data[lo*d : hi*d]}, ix.data, 1)
-		selectRows(&s.sel, s.scores, n, lo, out)
-	} else {
-		d := q32.Cols
-		s.scores32 = resize(s.scores32, rows*n)
-		dense.MulBTInto32(&dense.Matrix32{Rows: rows, Cols: n, Data: s.scores32},
-			&dense.Matrix32{Rows: rows, Cols: d, Data: q32.Data[lo*d : hi*d]}, ix.data32, 1)
-		selectRows(&s.sel, s.scores32, n, lo, out)
+// dot product in column order, rounded to float32 on the F32 tier — and
+// each query keeps its k best, counting every fitted row as its pool.
+func (ix *Index) scan(s *searcher, q *dense.Matrix, lo, hi int, out *Result) {
+	rows, n, d := hi-lo, ix.n, q.Cols
+	s.scores = resize(s.scores, rows*n)
+	dense.MulBTInto(&dense.Matrix{Rows: rows, Cols: n, Data: s.scores},
+		&dense.Matrix{Rows: rows, Cols: d, Data: q.Data[lo*d : hi*d]}, ix.data, 1)
+	ix.round(s.scores)
+	for r := range rows {
+		topk.Select(&s.sel, out.Idx[lo+r], out.Score[lo+r], nil, s.scores[r*n:r*n+n])
 	}
 	s.queries += int64(rows)
 	s.poolRows += int64(rows * n)
@@ -481,11 +431,14 @@ func (ix *Index) scan(s *searcher, q *dense.Matrix, q32 *dense.Matrix32, lo, hi 
 	}
 }
 
-// selectRows keeps the k best of every row of a scored block: row r of
-// sc, n scores, answers query lo+r.
-func selectRows[F float32 | float64](sel *topk.Selector, sc []F, n, lo int, out *Result) {
-	for r := range len(sc) / n {
-		topk.Select(sel, out.Idx[lo+r], out.Score[lo+r], nil, sc[r*n:r*n+n])
+// round rounds every score to float32 on the F32 tier, where a score is
+// the float64-accumulated dot product stored as float32.
+func (ix *Index) round(sc []float64) {
+	if !ix.p.F32 {
+		return
+	}
+	for i, v := range sc {
+		sc[i] = float64(float32(v))
 	}
 }
 
@@ -499,15 +452,13 @@ type searcher struct {
 	// re-hashed gathers: the bucket rows beyond the sub-probe budget,
 	// drained in probe order only if the pool falls short of k.
 	deferred []int32
-	visited  []int32   // (lo, hi) sub-bucket spans taken from the current bucket
-	wide     []float64 // the current f32-tier query widened to float64
-	cap      int       // effective pool cap for this TopK call (0 = none)
+	visited  []int32 // (lo, hi) sub-bucket spans taken from the current bucket
+	cap      int     // effective pool cap for this TopK call (0 = none)
 	// scores holds the re-rank scores of the pool, or on the exact path
-	// one block of queries scored against every fitted row (scores32 on
-	// the f32 tier); sel selects from them.
-	scores   []float64
-	scores32 []float32
-	sel      topk.Selector
+	// one block of queries scored against every fitted row; sel selects
+	// from them.
+	scores []float64
+	sel    topk.Selector
 
 	queries  int64 // per-TopK stat accumulators
 	poolRows int64
@@ -541,9 +492,8 @@ func (s *searcher) wantMore(k, probed, floor int) bool {
 // first-level buckets until it has probed the configured count and
 // gathered ≥ k candidates — the full walk reaches every bucket, and any
 // rows a re-hashed gather deferred are drained afterwards, so pool ≥ k
-// always terminates — and exactly re-ranks the pool. q is the query in
-// float64; q32, set on the f32 tier only, is what the re-rank scores.
-func (ix *Index) search(s *searcher, q []float64, q32 []float32, k int, outIdx []int32, outScore []float64) {
+// always terminates — and exactly re-ranks the pool.
+func (ix *Index) search(s *searcher, q []float64, k int, outIdx []int32, outScore []float64) {
 	s.queries++
 	s.pool = s.pool[:0]
 	s.deferred = s.deferred[:0]
@@ -553,7 +503,7 @@ func (ix *Index) search(s *searcher, q []float64, q32 []float32, k int, outIdx [
 	for di := 0; di+1 < len(s.deferred) && len(s.pool) < k; di += 2 {
 		s.take(ix.order[s.deferred[di]:s.deferred[di+1]])
 	}
-	ix.rerank(s, q, q32, outIdx, outScore)
+	ix.rerank(s, q, outIdx, outScore)
 }
 
 // rerank counts the pool in the searcher's stats, scores every pool row
@@ -561,10 +511,9 @@ func (ix *Index) search(s *searcher, q []float64, q32 []float32, k int, outIdx [
 // topk.Select. Rows are scored four per pass, each summed in index order
 // in its own accumulator (the dense kernel's per-cell association), and
 // a tail of one to three rows one per pass, so every score has the bits
-// of a sequential dot product. On the f32 tier a score accumulates in
-// float64 and rounds to float32 before it widens, as dense.MulBTInto32
-// stores it.
-func (ix *Index) rerank(s *searcher, q []float64, q32 []float32, outIdx []int32, outScore []float64) {
+// of a sequential dot product, rounded to float32 on the F32 tier as
+// the exact scan rounds it.
+func (ix *Index) rerank(s *searcher, q []float64, outIdx []int32, outScore []float64) {
 	pool := s.pool
 	n := len(pool)
 	s.poolRows += int64(n)
@@ -572,30 +521,15 @@ func (ix *Index) rerank(s *searcher, q []float64, q32 []float32, outIdx []int32,
 		s.maxPool = n
 	}
 	sc := resize(s.scores, n)
+	m := ix.data
 	p := 0
-	if q32 != nil {
-		m := ix.data32
-		for ; p+4 <= n; p += 4 {
-			v0, v1, v2, v3 := dot4f32(q32, m.Row(int(pool[p])), m.Row(int(pool[p+1])), m.Row(int(pool[p+2])), m.Row(int(pool[p+3])))
-			sc[p], sc[p+1], sc[p+2], sc[p+3] = float64(float32(v0)), float64(float32(v1)), float64(float32(v2)), float64(float32(v3))
-		}
-		for ; p < n; p++ {
-			row := m.Row(int(pool[p]))
-			var v float64
-			for i, qv := range q32 {
-				v += float64(qv) * float64(row[i])
-			}
-			sc[p] = float64(float32(v))
-		}
-	} else {
-		m := ix.data
-		for ; p+4 <= n; p += 4 {
-			sc[p], sc[p+1], sc[p+2], sc[p+3] = dense.Dot4(q, m.Row(int(pool[p])), m.Row(int(pool[p+1])), m.Row(int(pool[p+2])), m.Row(int(pool[p+3])))
-		}
-		for ; p < n; p++ {
-			sc[p] = dense.Dot(q, m.Row(int(pool[p])))
-		}
+	for ; p+4 <= n; p += 4 {
+		sc[p], sc[p+1], sc[p+2], sc[p+3] = dense.Dot4(q, m.Row(int(pool[p])), m.Row(int(pool[p+1])), m.Row(int(pool[p+2])), m.Row(int(pool[p+3])))
 	}
+	for ; p < n; p++ {
+		sc[p] = dense.Dot(q, m.Row(int(pool[p])))
+	}
+	ix.round(sc)
 	s.scores = sc
 	topk.Select(&s.sel, outIdx, outScore, pool, sc)
 }
@@ -775,30 +709,6 @@ func probeLess(c1 float64, m1 uint32, c2 float64, m2 uint32) bool {
 		return c1 < c2
 	}
 	return m1 < m2
-}
-
-// dot4f32 is dense.Dot4 over f32-tier rows: every value widens to
-// float64 and each of the four sums accumulates in float64, in index
-// order.
-func dot4f32(a, b0, b1, b2, b3 []float32) (s0, s1, s2, s3 float64) {
-	b0, b1, b2, b3 = b0[:len(a)], b1[:len(a)], b2[:len(a)], b3[:len(a)]
-	for i, v := range a {
-		w := float64(v)
-		s0 += w * float64(b0[i])
-		s1 += w * float64(b1[i])
-		s2 += w * float64(b2[i])
-		s3 += w * float64(b3[i])
-	}
-	return s0, s1, s2, s3
-}
-
-// widen returns src converted to float64 in dst's storage.
-func widen(dst []float64, src []float32) []float64 {
-	dst = resize(dst, len(src))
-	for j, v := range src {
-		dst[j] = float64(v)
-	}
-	return dst
 }
 
 // resize returns a slice of exactly n elements, reusing capacity.

@@ -93,18 +93,20 @@ func TestExactScanPinnedBits(t *testing.T) {
 	data32, queries32 := to32(data), to32(queries)
 	for _, tier := range []struct {
 		name, want string
+		f32        bool
 		run        func(ix *Index, k, workers int) *Result
 	}{
-		{"f64", "b4f917e9cd11621941de424952b11d9607c7f10cc23c59d0a0583387eca717f2", func(ix *Index, k, workers int) *Result {
+		{"f64", "b4f917e9cd11621941de424952b11d9607c7f10cc23c59d0a0583387eca717f2", false, func(ix *Index, k, workers int) *Result {
 			ix.Fit(data, workers)
 			return ix.TopK(queries, k, workers)
 		}},
-		{"f32", "e918f7fc416dac5cbf6e0a14a537c40ba04fc158f88c1dfa9d8cf16d82d9319d", func(ix *Index, k, workers int) *Result {
-			ix.Fit32(data32, workers)
-			return ix.TopK32(queries32, k, workers)
+		{"f32", "e918f7fc416dac5cbf6e0a14a537c40ba04fc158f88c1dfa9d8cf16d82d9319d", true, func(ix *Index, k, workers int) *Result {
+			ix.Fit(data32, workers)
+			return ix.TopK(queries32, k, workers)
 		}},
 	} {
 		for _, p := range []Params{{Bits: 3, Probes: 8, Seed: 5}, {}} {
+			p.F32 = tier.f32
 			for _, workers := range []int{1, 2, 3} {
 				ix := New(p)
 				var rs []*Result
@@ -154,12 +156,14 @@ func TestHashedFullGatherMatchesBruteForce(t *testing.T) {
 			t.Fatalf("%s f64: k = n forces a full gather; result must equal brute force", tc.name)
 		}
 		data32, queries32 := to32(tc.data), to32(tc.queries)
-		ix32 := New(tc.p)
-		ix32.Fit32(data32, 1)
-		got32 := ix32.TopK32(queries32, n, 1)
-		exact := New(Params{})
-		exact.Fit32(data32, 1)
-		if want32 := exact.TopK32(queries32, n, 1); !reflect.DeepEqual(got32, want32) {
+		p32 := tc.p
+		p32.F32 = true
+		ix32 := New(p32)
+		ix32.Fit(data32, 1)
+		got32 := ix32.TopK(queries32, n, 1)
+		exact := New(Params{F32: true})
+		exact.Fit(data32, 1)
+		if want32 := exact.TopK(queries32, n, 1); !reflect.DeepEqual(got32, want32) {
 			t.Fatalf("%s f32: k = n forces a full gather; result must equal the exact scan", tc.name)
 		}
 		for tier, st := range map[string]Stats{"f64": ix.Stats(), "f32": ix32.Stats()} {
@@ -215,10 +219,11 @@ func TestRerankBitIdenticalToReference(t *testing.T) {
 			data32, queries32 := to32(data), to32(queries)
 			for _, tier := range []struct {
 				name string
+				f32  bool
 				run  func(ix *Index) *Result
 				ref  func(q, j int) float64
 			}{
-				{"f64", func(ix *Index) *Result {
+				{"f64", false, func(ix *Index) *Result {
 					ix.Fit(data, 1)
 					return ix.TopK(queries, n, 1)
 				}, func(q, j int) float64 {
@@ -228,9 +233,9 @@ func TestRerankBitIdenticalToReference(t *testing.T) {
 					}
 					return s
 				}},
-				{"f32", func(ix *Index) *Result {
-					ix.Fit32(data32, 1)
-					return ix.TopK32(queries32, n, 1)
+				{"f32", true, func(ix *Index) *Result {
+					ix.Fit(data32, 1)
+					return ix.TopK(queries32, n, 1)
 				}, func(q, j int) float64 {
 					var s float64
 					for i, v := range queries32.Row(q) {
@@ -239,7 +244,9 @@ func TestRerankBitIdenticalToReference(t *testing.T) {
 					return float64(float32(s))
 				}},
 			} {
-				ix := New(p)
+				tp := p
+				tp.F32 = tier.f32
+				ix := New(tp)
 				got := tier.run(ix)
 				if st := ix.Stats(); st.Rows != int64(n) || st.PoolRows != int64(nq*n) {
 					t.Fatalf("%s d=%d n=%d: stats %+v, want every row hashed and pooled", tier.name, d, n, st)
@@ -440,11 +447,12 @@ func refitInputs() (a, b, queries *dense.Matrix) {
 	return a, b, randRows(200, d, 62)
 }
 
-// to32 narrows a matrix to the float32 tier.
-func to32(m *dense.Matrix) *dense.Matrix32 {
-	out := dense.New32(m.Rows, m.Cols)
+// to32 rounds a matrix to the float32 tier: every value a float32, held
+// in float64 storage.
+func to32(m *dense.Matrix) *dense.Matrix {
+	out := dense.New(m.Rows, m.Cols)
 	for i, v := range m.Data {
-		out.Data[i] = float32(v)
+		out.Data[i] = float64(float32(v))
 	}
 	return out
 }
@@ -488,16 +496,18 @@ func TestRefitPinnedBits(t *testing.T) {
 }
 
 // TestRefitPinnedBits32 is TestRefitPinnedBits on the float32 tier
-// (Fit32/TopK32); its digest, too, was computed at commit 83004fa with
-// RefitEps: -1.
+// (inputs rounded by to32, Params.F32 set); its digest, too, was
+// computed at commit 83004fa with RefitEps: -1.
 func TestRefitPinnedBits32(t *testing.T) {
 	a, b, q := refitInputs()
 	q32 := to32(q)
-	ix := New(refitParams)
-	ix.Fit32(to32(a), 2)
-	first := ix.TopK32(q32, 10, 2)
-	ix.Fit32(to32(b), 2)
-	second := ix.TopK32(q32, 10, 2)
+	p := refitParams
+	p.F32 = true
+	ix := New(p)
+	ix.Fit(to32(a), 2)
+	first := ix.TopK(q32, 10, 2)
+	ix.Fit(to32(b), 2)
+	second := ix.TopK(q32, 10, 2)
 	const want = "5f63a793331bb84f11c0a83feb4237d5d61dfddfa0601f3c2d13a5a23d737fed"
 	if got := resultDigest(first, second); got != want {
 		t.Fatalf("fit sequence digest %s, want %s", got, want)
@@ -523,14 +533,14 @@ func TestRehashPinnedBits(t *testing.T) {
 		{"f64", 64, "955c166a4eafe107aab0472e36cde1fa0730bd4015276948fa7251e037287237"},
 		{"f32", 64, "91d41f7957e3f1e1a11c438a9b3c5f3777b2d88ab740b7656d7ede898ec9ccce"},
 	} {
-		ix := New(Params{Bits: 11, Probes: 48, PoolCap: tc.poolCap, Seed: 19})
+		ix := New(Params{Bits: 11, Probes: 48, PoolCap: tc.poolCap, Seed: 19, F32: tc.tier == "f32"})
 		var res *Result
 		if tc.tier == "f64" {
 			ix.Fit(data, workers)
 			res = ix.TopK(queries, k, workers)
 		} else {
-			ix.Fit32(data32, workers)
-			res = ix.TopK32(queries32, k, workers)
+			ix.Fit(data32, workers)
+			res = ix.TopK(queries32, k, workers)
 		}
 		if st := ix.Stats(); st.Rehashed == 0 {
 			t.Errorf("%s cap=%d: no bucket was re-hashed (stats %+v)", tc.tier, tc.poolCap, st)

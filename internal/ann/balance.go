@@ -38,8 +38,7 @@ const (
 // seed, rotated through T and centered on the data mean. In the whitened
 // view each effective hyperplane sees equalized variance in every
 // direction, so each bit splits the rows roughly in half even under a
-// dominant direction. The rows are read in float64 (see row), so the
-// frozen geometry is the same float64 math on both tiers.
+// dominant direction.
 func (ix *Index) freeze() {
 	var mu []float64
 	ix.xform = nil
@@ -70,7 +69,7 @@ func (ix *Index) whiteningTransform() (mu []float64, t *dense.Matrix) {
 	mu = make([]float64, d)
 	cnt := 0
 	for i := 0; i < rows; i += stride {
-		for j, v := range ix.row(i) {
+		for j, v := range ix.data.Row(i) {
 			mu[j] += v
 		}
 		cnt++
@@ -81,7 +80,7 @@ func (ix *Index) whiteningTransform() (mu []float64, t *dense.Matrix) {
 	}
 	cov := dense.New(d, d)
 	for i := 0; i < rows; i += stride {
-		row := ix.row(i)
+		row := ix.data.Row(i)
 		for a := 0; a < d; a++ {
 			da := row[a] - mu[a]
 			cr := cov.Row(a)
@@ -165,7 +164,7 @@ func (ix *Index) buildSubs() {
 		seg := ix.order[lo:hi]
 		clear(ix.mean)
 		for _, r := range seg {
-			for j, v := range ix.row(int(r)) {
+			for j, v := range ix.data.Row(int(r)) {
 				ix.mean[j] += v
 			}
 		}
@@ -175,7 +174,7 @@ func (ix *Index) buildSubs() {
 		st := ix.newTable(sb, ix.p.Seed^(int64(b)+1)*0x2545f4914f6cdd1d, ix.mean)
 		codes, z := ix.codes[:size], make([]float64, sb)
 		for i, r := range seg {
-			codes[i] = st.project(ix.row(int(r)), z)
+			codes[i] = st.project(ix.data.Row(int(r)), z)
 		}
 		ix.tmp = resize(ix.tmp, size)
 		ix.bucketSort(&st, codes, seg, ix.tmp)

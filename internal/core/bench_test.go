@@ -391,15 +391,12 @@ const (
 // so the time and allocated-bytes series attribute to the pipeline
 // instead of to parsing fixtures. The workload runs once per precision
 // tier — auto would resolve f32 at this size, so both tiers are pinned
-// explicitly and the f64 series is the reference the f32 series is
-// gated against within the same snapshot (see bench_check.sh: the f32
-// tier must allocate ≤ 0.97× of f64 in the fine-tune stage and never
-// more than f64 overall; wall-clock is not gated across tiers — at
-// this embedding width the conversion cost and the bandwidth saving
-// are close, and the measured ratio swings with host load). Workers is
-// pinned to 1 for the same B/op-gate reason as topkBenchConfig; the
-// snapshot in BENCH_pipeline.json gates time and allocated bytes, so a
-// regression to quadratic candidate generation fails CI on both series.
+// explicitly. The f32 tier rounds the same float64 rows and scores to
+// float32, so the two allocate through one path and each row is held
+// only to its own series in BENCH_pipeline.json. Workers is pinned to 1
+// for the same B/op-gate reason as topkBenchConfig; the snapshot gates
+// time and allocated bytes, so a regression to quadratic candidate
+// generation fails the gate on both series.
 func BenchmarkAlignAnnIngested100K(b *testing.B) {
 	src, tgt := edgeListText(100_000, 13)
 	ls, err := ingest.Load(strings.NewReader(src), ingest.Options{})
@@ -439,7 +436,7 @@ func BenchmarkAlignAnnIngested100K(b *testing.B) {
 			// The mean re-rank pool is the work-per-query series the
 			// snapshot gates; the fine-tune stage's allocated-bytes delta
 			// is the span the precision tier owns, recorded so the
-			// snapshot trajectory shows where the f32 tier moves memory.
+			// snapshot trajectory shows that stage's memory on its own.
 			b.ReportMetric(st.PoolRowsMean, "pool-rows/op")
 			b.ReportMetric(float64(ft), "finetune-bytes/op")
 		})

@@ -182,19 +182,18 @@ func (s *SimBackend) UnmarshalText(text []byte) error {
 
 // Precision selects the numeric width of the post-training compute
 // tier. Stage-3 training is always float64 — the Adam updates and their
-// bit-identity guarantees are untouched — but the fine-tuning stages
-// (similarity projection, candidate generation, ANN hashing and
-// re-rank) are memory-bandwidth-bound and can run on float32 values
-// with float64 accumulators, halving their traffic and footprint.
+// bit-identity guarantees are untouched. The float32 tier rounds the
+// candidate backends' centered, normalised embedding copies and every
+// candidate score to float32, in float64 storage: float64 accumulators
+// over float32 values, with no memory saving.
 type Precision int
 
 // The precision tiers.
 const (
-	// PrecisionAuto picks the tier from the pair size: float64 while the
-	// pair is small enough that bandwidth isn't the bottleneck, float32
-	// past the same cell threshold that switches SimAuto to the ANN
-	// backend (autoAnnCells). The dense backend always resolves to
-	// float64 — it has no reduced-precision tier.
+	// PrecisionAuto picks the tier from the pair size: float64 on small
+	// pairs, float32 past the same cell threshold that switches SimAuto
+	// to the ANN backend (autoAnnCells). The dense backend always
+	// resolves to float64 — it has no reduced-precision tier.
 	PrecisionAuto Precision = iota
 	// PrecisionF64 forces full float64 throughout — bit-identical to the
 	// pipeline before the precision tier existed.
@@ -332,7 +331,7 @@ type Config struct {
 	// PrecisionAuto (the default) stays float64 until the pair passes the
 	// ANN cell threshold, PrecisionF64 forces the full-width path
 	// (bit-identical to leaving the knob unset on small pairs), and
-	// PrecisionF32 runs candidate generation on the float32 tier —
+	// PrecisionF32 rounds candidate generation to the float32 tier —
 	// top-k and ANN backends only; a resolved dense backend rejects it
 	// (ErrBadPrecision) rather than silently ignoring it.
 	Precision Precision `json:"precision,omitempty"`
@@ -514,10 +513,9 @@ func (c Config) ResolveAnn(ns, nt int) (bits, probes int) {
 
 // ResolvePrecision resolves the configured precision tier against a
 // concrete pair size. PrecisionAuto flips to float32 past the same cell
-// threshold that flips SimAuto to the ANN backend — the sizes where the
-// fine-tuning stages are bandwidth-bound — except under a resolved dense
-// backend, which has no float32 tier and always runs float64. The
-// returned tier is never PrecisionAuto.
+// threshold that flips SimAuto to the ANN backend, except under a
+// resolved dense backend, which has no float32 tier and always runs
+// float64. The returned tier is never PrecisionAuto.
 func (c Config) ResolvePrecision(ns, nt int) Precision {
 	if c.Precision != PrecisionAuto {
 		return c.Precision

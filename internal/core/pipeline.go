@@ -324,17 +324,17 @@ func (p *Prepared) AlignContext(ctx context.Context, cfg Config) (*Result, error
 	backend, candidateK := cfg.ResolveSimilarity(p.gs.N(), p.gt.N())
 	res.SimBackend = backend.String()
 	res.CandidateK = candidateK
-	var annParams ann.Params
+	// Resolve the precision tier the same way (PrecisionAuto picks here)
+	// and record the concrete choice; the candidate index rounds to it.
+	prec := cfg.ResolvePrecision(p.gs.N(), p.gt.N())
+	res.Precision = prec.String()
+	annParams := ann.Params{F32: prec == PrecisionF32}
 	if backend == SimANN {
 		bits, probes := cfg.ResolveAnn(p.gs.N(), p.gt.N())
 		res.AnnBits, res.AnnProbes = bits, probes
 		res.AnnPoolCap = cfg.AnnPoolCap
-		annParams = ann.Params{Bits: bits, Probes: probes, PoolCap: cfg.AnnPoolCap, Seed: cfg.Seed}
+		annParams.Bits, annParams.Probes, annParams.PoolCap, annParams.Seed = bits, probes, cfg.AnnPoolCap, cfg.Seed
 	}
-	// Resolve the precision tier the same way (PrecisionAuto picks here)
-	// and record the concrete choice.
-	prec := cfg.ResolvePrecision(p.gs.N(), p.gt.N())
-	res.Precision = prec.String()
 	// Each in-flight fine-tune holds its similarity working set — a few
 	// ns×nt buffers on the dense backend, O((ns+nt)·k) candidate
 	// structures on top-k — so on huge pairs the fan-out is additionally
@@ -346,7 +346,7 @@ func (p *Prepared) AlignContext(ctx context.Context, cfg Config) (*Result, error
 		slots = k
 	}
 	outer, inner := par.SplitOuterInner(workers, slots)
-	ftCfg := align.FineTuneConfig{M: cfg.M, Beta: cfg.Beta, MaxIters: cfg.MaxFineTuneIters, KnownPairs: cfg.Seeds, Workers: inner, TopK: candidateK, Ann: annParams, F32: prec == PrecisionF32, KeepEmbeddings: cfg.KeepEmbeddings, Ctx: ctx}
+	ftCfg := align.FineTuneConfig{M: cfg.M, Beta: cfg.Beta, MaxIters: cfg.MaxFineTuneIters, KnownPairs: cfg.Seeds, Workers: inner, TopK: candidateK, Ann: annParams, KeepEmbeddings: cfg.KeepEmbeddings, Ctx: ctx}
 	if !cfg.Variant.usesFineTune() {
 		ftCfg.MaxIters = 1 // single pass: score + trusted count, no reinforcement rounds
 		ftCfg.KnownPairs = nil

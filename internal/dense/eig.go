@@ -105,22 +105,3 @@ func offDiagNorm(w *Matrix) float64 {
 	}
 	return math.Sqrt(s)
 }
-
-// PseudoInverseSqrtSym returns M^(−1/2) for a symmetric positive
-// semi-definite matrix, treating eigenvalues below tol as zero. REGAL's
-// xNetMF embedding uses this to whiten the landmark similarity block.
-func PseudoInverseSqrtSym(a *Matrix, tol float64) *Matrix {
-	vals, vecs := SymEigen(a)
-	n := a.Rows
-	scaled := New(n, n)
-	for j := 0; j < n; j++ {
-		var f float64
-		if vals[j] > tol {
-			f = 1 / math.Sqrt(vals[j])
-		}
-		for i := 0; i < n; i++ {
-			scaled.Set(i, j, vecs.At(i, j)*f)
-		}
-	}
-	return MulBT(scaled, vecs)
-}

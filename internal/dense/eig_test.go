@@ -78,28 +78,3 @@ func TestSymEigenDescendingOrder(t *testing.T) {
 		}
 	}
 }
-
-func TestPseudoInverseSqrtSym(t *testing.T) {
-	// For SPD M, (M^(−1/2))·M·(M^(−1/2)) = I.
-	rng := rand.New(rand.NewSource(21))
-	b := randomMatrix(6, 6, rng)
-	m := MulBT(b, b) // SPD with probability 1
-	for i := 0; i < 6; i++ {
-		m.Set(i, i, m.At(i, i)+0.5)
-	}
-	half := PseudoInverseSqrtSym(m, 1e-10)
-	got := Mul(Mul(half, m), half)
-	if !got.Equal(Identity(6), 1e-7) {
-		t.Fatalf("M^(-1/2) M M^(-1/2) != I: %v", got)
-	}
-}
-
-func TestPseudoInverseSqrtSymRankDeficient(t *testing.T) {
-	// Rank-1 matrix: pseudo-inverse sqrt must not blow up on the null
-	// space.
-	m := FromRows([][]float64{{4, 0}, {0, 0}})
-	half := PseudoInverseSqrtSym(m, 1e-10)
-	if !almostEqual(half.At(0, 0), 0.5, 1e-10) || !almostEqual(half.At(1, 1), 0, 1e-10) {
-		t.Fatalf("pseudo-inverse sqrt = %v", half)
-	}
-}

@@ -208,18 +208,6 @@ func TestNormalizeRows(t *testing.T) {
 	}
 }
 
-func TestRowNormsAndScaleRows(t *testing.T) {
-	m := FromRows([][]float64{{3, 4}, {1, 0}})
-	norms := m.RowNorms()
-	if !almostEqual(norms[0], 5, 1e-12) || !almostEqual(norms[1], 1, 1e-12) {
-		t.Fatalf("RowNorms = %v", norms)
-	}
-	m.ScaleRows([]float64{2, 3})
-	if m.At(0, 1) != 8 || m.At(1, 0) != 3 {
-		t.Fatalf("ScaleRows: %v", m)
-	}
-}
-
 func TestArgmaxRows(t *testing.T) {
 	m := FromRows([][]float64{{1, 9, 2}, {-5, -1, -9}})
 	got := m.ArgmaxRows()
@@ -240,5 +228,90 @@ func TestXavierDeterministicAndBounded(t *testing.T) {
 	}
 	if a.MaxAbs() == 0 {
 		t.Fatal("Xavier produced all zeros")
+	}
+}
+
+// seededMatrix fills an r×c matrix with unit gaussians, with a few rows
+// made exactly constant so the zero-variance skip path is exercised.
+func seededMatrix(r, c int, seed int64) *Matrix {
+	rng := rand.New(rand.NewSource(seed))
+	m := New(r, c)
+	for i := range m.Data {
+		m.Data[i] = rng.NormFloat64()
+	}
+	for i := 0; i < r; i += 7 {
+		row := m.Row(i)
+		for j := range row {
+			row[j] = 3.25
+		}
+	}
+	return m
+}
+
+// TestCenterNormalizeFusedBitIdentical: the fused center+normalize pass
+// must reproduce the separate CopyFrom → CenterRows → NormalizeRows
+// sequence bit for bit — it is what lets the fusion replace the old
+// three-pass code on the default float64 path without perturbing the
+// pipeline's bit-identity contract.
+func TestCenterNormalizeFusedBitIdentical(t *testing.T) {
+	for _, tc := range []struct{ r, c int }{
+		{1, 1}, {3, 0}, {7, 5}, {40, 16}, {129, 33},
+	} {
+		for seed := int64(1); seed <= 3; seed++ {
+			src := seededMatrix(tc.r, tc.c, seed)
+			want := New(tc.r, tc.c)
+			want.CopyFrom(src)
+			want.CenterRows()
+			want.NormalizeRows()
+			got := New(tc.r, tc.c)
+			CenterNormalizeRowsInto(got, src)
+			for i, v := range got.Data {
+				if v != want.Data[i] {
+					t.Fatalf("r=%d c=%d seed=%d: fused[%d] = %v, separate = %v",
+						tc.r, tc.c, seed, i, v, want.Data[i])
+				}
+			}
+		}
+	}
+}
+
+// TestCenterNormalizeRowsInto32 checks the float32-tier pass against a
+// float32 reference: each stored value, held in float64, must equal the
+// reference's float32 value widened, computed through the same rounding
+// (center rounded to float32, norm accumulated over the rounded values,
+// output rounded again).
+func TestCenterNormalizeRowsInto32(t *testing.T) {
+	src := seededMatrix(41, 9, 4)
+	got := New(41, 9)
+	CenterNormalizeRowsInto32(got, src)
+	for i := 0; i < src.Rows; i++ {
+		row := src.Row(i)
+		var mean float64
+		for _, v := range row {
+			mean += v
+		}
+		mean /= float64(src.Cols)
+		c := make([]float32, src.Cols)
+		var s float64
+		for j, v := range row {
+			c[j] = float32(v - mean)
+			s += float64(c[j]) * float64(c[j])
+		}
+		out := got.Row(i)
+		if s < 1e-12 {
+			for j := range out {
+				if out[j] != float64(c[j]) {
+					t.Fatalf("zero-variance row %d col %d: got %v, want centered %v", i, j, out[j], c[j])
+				}
+			}
+			continue
+		}
+		f := 1 / math.Sqrt(s)
+		for j := range out {
+			want := float32(float64(c[j]) * f)
+			if out[j] != float64(want) {
+				t.Fatalf("row %d col %d: got %v, want %v", i, j, out[j], want)
+			}
+		}
 	}
 }

@@ -76,11 +76,6 @@ func Solve(a, b *Matrix) (*Matrix, error) {
 	return x, nil
 }
 
-// Inverse returns a⁻¹ for a square matrix a.
-func Inverse(a *Matrix) (*Matrix, error) {
-	return Solve(a, Identity(a.Rows))
-}
-
 // SolveRidge returns X minimising ‖a·X − b‖² + lambda·‖X‖², the ridge
 // (Tikhonov) regularised least squares solution (aᵀa + λI)⁻¹aᵀb. It is
 // used by the PALE baseline to learn the linear embedding mapping from

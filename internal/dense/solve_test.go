@@ -74,22 +74,6 @@ func TestSolveDoesNotMutateInputs(t *testing.T) {
 	}
 }
 
-func TestInverse(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	n := 8
-	a := randomMatrix(n, n, rng)
-	for i := 0; i < n; i++ {
-		a.Set(i, i, a.At(i, i)+10)
-	}
-	inv, err := Inverse(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !Mul(a, inv).Equal(Identity(n), 1e-8) {
-		t.Fatal("A·A⁻¹ != I")
-	}
-}
-
 func TestSolveRidgeRecoversMapping(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	w := randomMatrix(6, 4, rng)

@@ -43,19 +43,6 @@ func NewEncoder(dims []int, acts []Activation, rng *rand.Rand) *Encoder {
 // Layers returns the number of hidden layers L.
 func (e *Encoder) Layers() int { return len(e.W) }
 
-// Clone returns a deep copy of the encoder (weights included).
-func (e *Encoder) Clone() *Encoder {
-	cp := &Encoder{
-		Dims: append([]int(nil), e.Dims...),
-		Acts: append([]Activation(nil), e.Acts...),
-		W:    make([]*dense.Matrix, len(e.W)),
-	}
-	for l, w := range e.W {
-		cp.W[l] = w.Clone()
-	}
-	return cp
-}
-
 // Cache stores the intermediate activations of one forward pass, needed to
 // run the corresponding backward pass.
 type Cache struct {

@@ -204,15 +204,6 @@ func TestBackwardGradientNumericallyReLU(t *testing.T) {
 	}
 }
 
-func TestCloneIsIndependent(t *testing.T) {
-	e := NewEncoder([]int{2, 2}, []Activation{Tanh{}}, rand.New(rand.NewSource(16)))
-	c := e.Clone()
-	c.W[0].Set(0, 0, 99)
-	if e.W[0].At(0, 0) == 99 {
-		t.Fatal("Clone shares weights")
-	}
-}
-
 // TestSharedEncoderEquivariance checks the mechanism behind Proposition 1:
 // encoding an isomorphic copy of a graph (with permuted features) through
 // the same shared encoder yields exactly permuted embeddings, so perfectly
@@ -330,21 +321,4 @@ func TestTrainOrbitMismatchPanics(t *testing.T) {
 		}
 	}()
 	Train(e, src, tgt, TrainConfig{Epochs: 1, LR: 0.01})
-}
-
-func TestEmbedAll(t *testing.T) {
-	rng := rand.New(rand.NewSource(26))
-	g := graph.ErdosRenyi(10, 0.4, rng)
-	x := randomFeatures(10, 3, 27)
-	gd := &GraphData{Laps: gom.Build(g, orbit.Count(g), 3, false).Laplacians, X: x}
-	e := NewEncoder([]int{3, 4, 2}, []Activation{Tanh{}, Tanh{}}, rand.New(rand.NewSource(28)))
-	hs := EmbedAll(e, gd)
-	if len(hs) != 3 {
-		t.Fatalf("EmbedAll returned %d matrices", len(hs))
-	}
-	for _, h := range hs {
-		if h.Rows != 10 || h.Cols != 2 {
-			t.Fatalf("bad shape %dx%d", h.Rows, h.Cols)
-		}
-	}
 }

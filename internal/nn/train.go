@@ -143,13 +143,3 @@ func Train(enc *Encoder, src, tgt *GraphData, cfg TrainConfig) []float64 {
 	}
 	return history
 }
-
-// EmbedAll generates the per-orbit embeddings H = {H₀ … H_K} of one graph
-// with the trained encoder (Algorithm 1, line 12).
-func EmbedAll(enc *Encoder, gd *GraphData) []*dense.Matrix {
-	out := make([]*dense.Matrix, len(gd.Laps))
-	for k, lap := range gd.Laps {
-		out[k] = enc.Embed(lap, gd.X)
-	}
-	return out
-}
